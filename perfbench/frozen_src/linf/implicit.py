@@ -1,0 +1,361 @@
+"""Local implicit conditioner.
+
+Maps (feature map, query coordinate, cell size) to the per-layer scale and
+shift parameters consumed by the flow, via per-neighbor Fourier features:
+amplitudes and frequencies come from two conv heads over the feature map,
+phases from a small MLP on the scalar cell size. The four nearest neighbors'
+features are bilinearly weighted and concatenated into one vector so the
+parameter-generating MLP and the flow run once per query.
+
+Neighbor order inside the concatenation is fixed: top-left, top-right,
+bottom-left, bottom-right, cos block before sin block within each neighbor.
+Weights are computed on the virtual (unclamped) lattice so they always form
+a bilinear partition of unity; feature lookups and relative coordinates use
+border-clamped lattice positions, which merges the weight mass of duplicated
+border neighbors.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import numerics as nm
+from . import telemetry
+from .encoder import FeatureMap
+from .errors import ConfigError
+
+ALPHA_CLAMP = 8.0  # pre-activation bound; alpha = exp(clamp(pre, -8, 8))
+
+WEIGHTING_FULL = "full"
+WEIGHTING_NONE = "none"
+
+
+@dataclass
+class ImplicitConfig:
+    frequencies: int = 16  # K
+    trunk_width: int = 256
+    phase_hidden: int = 16
+    flow_layers: int = 10  # L
+    patch_dim: int = 3  # D = 3 n^2
+    ensemble_weighting: str = WEIGHTING_FULL
+
+    def __post_init__(self):
+        if self.ensemble_weighting not in (WEIGHTING_FULL, WEIGHTING_NONE):
+            raise ConfigError(f"unknown ensemble_weighting {self.ensemble_weighting!r}")
+        if self.frequencies < 1:
+            raise ConfigError("need >= 1 frequency")
+
+
+@dataclass
+class ImplicitParams:
+    """Tensor bundle plus the config that fixes its layout."""
+
+    cfg: ImplicitConfig
+    t: dict[str, nm.Tensor]
+
+    def __getitem__(self, key: str) -> nm.Tensor:
+        return self.t[key]
+
+
+@dataclass
+class QueryPoint:
+    """A patch-center query: coordinate in [-1,1]^2 and cell size 2/s."""
+
+    x_q: np.ndarray  # (y, x)
+    cell: float
+
+    def __post_init__(self):
+        if self.cell <= 0:
+            raise ConfigError("cell size must be positive")
+
+
+@dataclass
+class FourierBank:
+    """Per-query amplitudes (2K), frequencies (K x 2), phases (K)."""
+
+    amplitudes: nm.Tensor
+    frequencies: nm.Tensor
+    phases: nm.Tensor
+
+    @property
+    def k(self) -> int:
+        return self.phases.shape[-1]
+
+
+@dataclass
+class EnsembleNeighborhood:
+    """The four lattice neighbors of a query with their bilinear weights."""
+
+    indices: np.ndarray  # [4, 2] clamped (row, col)
+    coords: np.ndarray  # [4, 2] clamped center coordinates
+    weights: np.ndarray  # [4], sums to 1
+
+
+@dataclass
+class ConditionerOutput:
+    """Per flow layer: scale pre-activation, scale, and shift, each [N, D]."""
+
+    alpha_pre: list[nm.Tensor]
+    alpha: list[nm.Tensor]
+    phi: list[nm.Tensor]
+
+    @property
+    def layers(self) -> int:
+        return len(self.alpha)
+
+    @property
+    def batch(self) -> int:
+        return self.alpha[0].shape[0]
+
+
+# -- lattice geometry ----------------------------------------------------------------
+
+
+def pixel_centers(n: int) -> np.ndarray:
+    """Continuous-domain centers (2i+1)/n - 1 of an n-pixel axis."""
+    return (2.0 * np.arange(n) + 1.0) / n - 1.0
+
+
+def nearest_index(coord: np.ndarray, height: int, width: int) -> tuple[int, int]:
+    """Nearest pixel center to a coordinate, ties toward the smaller index."""
+    # invert the center formula; ceil(x - 0.5) rounds halves downward
+    ry = np.ceil((coord[0] + 1.0) * height / 2.0 - 1.0)
+    cx = np.ceil((coord[1] + 1.0) * width / 2.0 - 1.0)
+    r = int(np.clip(ry, 0, height - 1))
+    c = int(np.clip(cx, 0, width - 1))
+    return r, c
+
+
+def nearest_feature(fm: FeatureMap, x_q: np.ndarray) -> tuple[nm.Tensor, np.ndarray]:
+    """Feature vector at the closest LR pixel center, and that center's coordinate."""
+    r, c = nearest_index(np.asarray(x_q, dtype=np.float64), fm.height, fm.width)
+    coord = np.array([pixel_centers(fm.height)[r], pixel_centers(fm.width)[c]])
+    return fm.tensor[r, c, :], coord
+
+
+def neighborhood_geometry(
+    height: int, width: int, x_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized 2x2 neighborhoods for queries x_q of shape [Q, 2].
+
+    Returns (indices [Q,4,2] clamped, coords [Q,4,2] clamped centers,
+    weights [Q,4]). Entry order is TL, TR, BL, BR. The weight of an entry is
+    the bilinear area opposite it within the virtual lattice cell.
+    """
+    x_q = np.atleast_2d(np.asarray(x_q, dtype=np.float64))
+    q = x_q.shape[0]
+    dy, dx = 2.0 / height, 2.0 / width
+    first_y, first_x = 1.0 / height - 1.0, 1.0 / width - 1.0
+    fy = (x_q[:, 0] - first_y) / dy
+    fx = (x_q[:, 1] - first_x) / dx
+    r0 = np.floor(fy).astype(int)
+    c0 = np.floor(fx).astype(int)
+    v = fy - r0
+    u = fx - c0
+    weights = np.stack([(1 - v) * (1 - u), (1 - v) * u, v * (1 - u), v * u], axis=1)
+    rows = np.clip(np.stack([r0, r0, r0 + 1, r0 + 1], axis=1), 0, height - 1)
+    cols = np.clip(np.stack([c0, c0 + 1, c0, c0 + 1], axis=1), 0, width - 1)
+    indices = np.stack([rows, cols], axis=2)
+    coords = np.empty((q, 4, 2))
+    coords[:, :, 0] = (2.0 * rows + 1.0) / height - 1.0
+    coords[:, :, 1] = (2.0 * cols + 1.0) / width - 1.0
+    return indices, coords, weights
+
+
+def ensemble_weights(x_q: np.ndarray, height: int, width: int) -> EnsembleNeighborhood:
+    """Single-query neighborhood with bilinear area weights."""
+    indices, coords, weights = neighborhood_geometry(height, width, np.atleast_2d(x_q))
+    return EnsembleNeighborhood(indices[0], coords[0], weights[0])
+
+
+# -- parameters ------------------------------------------------------------------------
+
+
+def init_implicit_params(
+    cfg: ImplicitConfig, feature_channels: int, rng: np.random.Generator
+) -> ImplicitParams:
+    """Conv heads for amplitude/frequency, phase MLP, and conditioner trunk.
+
+    The trunk's output head starts at zero so a fresh model is the identity
+    injector (alpha=1, phi=0) for every query.
+    """
+    k = cfg.frequencies
+    c = feature_channels
+    w = cfg.trunk_width
+    out_dim = 2 * cfg.flow_layers * cfg.patch_dim
+
+    def he(shape, fan_in):
+        return nm.Tensor(rng.normal(size=shape) * np.sqrt(2.0 / fan_in), requires_grad=True)
+
+    tensors = {
+        "amp.w": he((3, 3, c, 2 * k), 9 * c),
+        "amp.b": nm.Tensor(np.zeros(2 * k), requires_grad=True),
+        "freq.w": he((3, 3, c, 2 * k), 9 * c),
+        "freq.b": nm.Tensor(np.zeros(2 * k), requires_grad=True),
+        "phase.w1": he((1, cfg.phase_hidden), 1),
+        "phase.b1": nm.Tensor(np.zeros(cfg.phase_hidden), requires_grad=True),
+        "phase.w2": he((cfg.phase_hidden, k), cfg.phase_hidden),
+        "phase.b2": nm.Tensor(np.zeros(k), requires_grad=True),
+        "trunk.w1": he((8 * k, w), 8 * k),
+        "trunk.b1": nm.Tensor(np.zeros(w), requires_grad=True),
+        "trunk.w2": he((w, w), w),
+        "trunk.b2": nm.Tensor(np.zeros(w), requires_grad=True),
+        "head.w": nm.Tensor(np.zeros((w, out_dim)), requires_grad=True),
+        "head.b": nm.Tensor(np.zeros(out_dim), requires_grad=True),
+    }
+    return ImplicitParams(cfg, tensors)
+
+
+# -- Fourier features ---------------------------------------------------------------------
+
+
+def bank_maps(fm_tensor: nm.Tensor, params: ImplicitParams) -> tuple[nm.Tensor, nm.Tensor]:
+    """Amplitude and frequency maps over the whole feature map ([..,2K] each)."""
+    amap = nm.add(nm.conv2d(fm_tensor, params["amp.w"]), params["amp.b"])
+    fmap = nm.add(nm.conv2d(fm_tensor, params["freq.w"]), params["freq.b"])
+    return amap, fmap
+
+
+def phase_vector(cell, params: ImplicitParams) -> nm.Tensor:
+    """Phases from the scalar cell size via the 2-layer MLP; [B, K] for B cells."""
+    cells = np.atleast_1d(np.asarray(cell, dtype=np.float64)).reshape(-1, 1)
+    h = nm.relu(nm.add(nm.matmul(nm.tensor(cells), params["phase.w1"]), params["phase.b1"]))
+    return nm.add(nm.matmul(h, params["phase.w2"]), params["phase.b2"])
+
+
+def estimate_bank(
+    fm: FeatureMap,
+    lattice_index: tuple[int, int],
+    cell: float,
+    params: ImplicitParams,
+) -> FourierBank:
+    """Fourier bank at one lattice position.
+
+    Reference path; batched code gathers from precomputed bank maps instead.
+    The frequency head's 2K channels pair up row-major as K (dy, dx) vectors.
+    """
+    r, c = lattice_index
+    amap, fmap = bank_maps(fm.tensor, params)
+    k = params.cfg.frequencies
+    amplitudes = amap[r, c, :]
+    frequencies = fmap[r, c, :].reshape(k, 2)
+    phases = phase_vector(cell, params)[0, :]
+    return FourierBank(amplitudes, frequencies, phases)
+
+
+def fourier_features(bank: FourierBank, delta: np.ndarray) -> nm.Tensor:
+    """Amplitude-modulated [cos; sin] features of the relative coordinate.
+
+    theta_k = pi * <F_k, delta> + P_k; output = A * concat(cos theta, sin theta).
+    """
+    delta_t = nm.tensor(np.asarray(delta, dtype=np.float64))
+    theta = nm.add(
+        nm.mul(np.pi, nm.tsum(nm.mul(bank.frequencies, delta_t), axis=1)), bank.phases
+    )
+    return nm.mul(bank.amplitudes, nm.concat([nm.cos(theta), nm.sin(theta)], axis=0))
+
+
+def ensemble_features(
+    amap_flat: nm.Tensor,
+    fmap_flat: nm.Tensor,
+    phases: nm.Tensor,
+    x_q: np.ndarray,
+    indices: np.ndarray,
+    coords: np.ndarray,
+    weights: np.ndarray,
+    lattice_width: int,
+    weighting: str = WEIGHTING_FULL,
+) -> nm.Tensor:
+    """Concatenated weighted Fourier features of the four neighbors: [Q, 8K].
+
+    amap_flat/fmap_flat are bank maps flattened to [H*W, 2K]; phases is [Q, K]
+    (already expanded per query); indices/coords/weights come from
+    neighborhood_geometry.
+    """
+    q = indices.shape[0]
+    k2 = amap_flat.shape[1]
+    k = k2 // 2
+    flat_idx = (indices[:, :, 0] * lattice_width + indices[:, :, 1]).reshape(-1)
+    a_g = nm.index_rows(amap_flat, flat_idx).reshape(q, 4, k2)
+    f_g = nm.index_rows(fmap_flat, flat_idx).reshape(q, 4, k, 2)
+    delta = (np.atleast_2d(x_q)[:, None, :] - coords)[:, :, None, :]  # [Q,4,1,2]
+    theta = nm.add(
+        nm.mul(np.pi, nm.tsum(nm.mul(f_g, nm.tensor(delta)), axis=3)),
+        phases.reshape(q, 1, k),
+    )
+    feats = nm.mul(a_g, nm.concat([nm.cos(theta), nm.sin(theta)], axis=2))
+    if weighting == WEIGHTING_FULL:
+        feats = nm.mul(feats, nm.tensor(weights[:, :, None]))
+    return feats.reshape(q, 8 * k)
+
+
+def fourier_feature_ensemble(
+    fm: FeatureMap, query: QueryPoint, params: ImplicitParams
+) -> nm.Tensor:
+    """Single-query ensemble vector kappa in R^{8K}."""
+    amap, fmap = bank_maps(fm.tensor, params)
+    k2 = amap.shape[2]
+    xq2 = np.atleast_2d(np.asarray(query.x_q, dtype=np.float64))
+    indices, coords, weights = neighborhood_geometry(fm.height, fm.width, xq2)
+    phases = phase_vector(query.cell, params)
+    kappa = ensemble_features(
+        amap.reshape(fm.height * fm.width, k2),
+        fmap.reshape(fm.height * fm.width, k2),
+        phases,
+        xq2,
+        indices,
+        coords,
+        weights,
+        fm.width,
+        params.cfg.ensemble_weighting,
+    )
+    return kappa[0, :]
+
+
+# -- parameter generation -------------------------------------------------------------------
+
+
+def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
+    """MLP trunk over kappa ([Q, 8K] or [8K]) producing per-layer (alpha, phi).
+
+    The head output is sliced per layer as contiguous (alpha_pre_k, phi_k)
+    blocks of D each, k ascending.
+    """
+    if kappa.ndim == 1:
+        kappa = kappa.reshape(1, kappa.shape[0])
+    telemetry.counters.conditioner += kappa.shape[0]
+    h = nm.relu(nm.add(nm.matmul(kappa, params["trunk.w1"]), params["trunk.b1"]))
+    h = nm.relu(nm.add(nm.matmul(h, params["trunk.w2"]), params["trunk.b2"]))
+    out = nm.add(nm.matmul(h, params["head.w"]), params["head.b"])
+    d = params.cfg.patch_dim
+    alpha_pre, alpha, phi = [], [], []
+    for k in range(params.cfg.flow_layers):
+        pre = nm.clamp(out[:, 2 * k * d : (2 * k + 1) * d], -ALPHA_CLAMP, ALPHA_CLAMP)
+        alpha_pre.append(pre)
+        alpha.append(nm.exp(pre))
+        phi.append(out[:, (2 * k + 1) * d : (2 * k + 2) * d])
+    return ConditionerOutput(alpha_pre, alpha, phi)
+
+
+def tile_single_neighbor(
+    amap_flat: nm.Tensor,
+    fmap_flat: nm.Tensor,
+    phases: nm.Tensor,
+    x_q: np.ndarray,
+    indices: np.ndarray,
+    coords: np.ndarray,
+    weights: np.ndarray,
+    lattice_width: int,
+    neighbor: int,
+    weighting: str = WEIGHTING_FULL,
+) -> nm.Tensor:
+    """kappa as if `neighbor` (0..3) were the whole neighborhood: every slot
+    carries that neighbor's features (computed with its own relative
+    coordinate), slot weights kept. Used by the four-pass comparison path."""
+    rep = np.repeat(indices[:, neighbor : neighbor + 1, :], 4, axis=1)
+    repc = np.repeat(coords[:, neighbor : neighbor + 1, :], 4, axis=1)
+    return ensemble_features(
+        amap_flat, fmap_flat, phases, x_q, rep, repc, weights, lattice_width, weighting
+    )

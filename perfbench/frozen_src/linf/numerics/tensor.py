@@ -1,0 +1,545 @@
+"""Dense float64 tensors with define-by-run reverse-mode differentiation.
+
+Gradients are recorded only while a :class:`GradTape` is active; outside a
+tape every operation is a plain numpy computation. The tape stores op outputs
+in creation order, which is already a valid topological order, so backward
+replays it in reverse.
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import Callable, Sequence
+
+import numpy as np
+
+from ..errors import NonFiniteError, ShapeError, UsageError
+from .linalg import LuFactors, lu_factor
+
+_state = threading.local()
+
+_checked = False
+
+
+def set_checked(flag: bool) -> None:
+    """Toggle finite-value validation of every created tensor."""
+    global _checked
+    _checked = bool(flag)
+
+
+def is_checked() -> bool:
+    return _checked
+
+
+def _tape_stack() -> list:
+    if not hasattr(_state, "stack"):
+        _state.stack = []
+    return _state.stack
+
+
+def active_tape() -> "GradTape | None":
+    stack = _tape_stack()
+    return stack[-1] if stack else None
+
+
+class Tensor:
+    """N-dimensional float64 array, optionally participating in a tape."""
+
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_version")
+
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data, dtype=np.float64)
+        if _checked and not np.all(np.isfinite(arr)):
+            raise NonFiniteError("tensor holds NaN or Inf values")
+        self.data = arr
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+        self._parents: tuple = ()
+        self._backward: Callable | None = None
+        self._version = 0
+
+    # -- shape / value access ------------------------------------------------
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.data.ndim
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    def item(self) -> float:
+        return float(self.data)
+
+    def numpy(self) -> np.ndarray:
+        return self.data
+
+    def zero_grad(self) -> None:
+        self.grad = None
+
+    # -- in-place mutation (optimizer use only; invalidates caches) ----------
+
+    def assign_(self, values: np.ndarray) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != self.data.shape:
+            raise ShapeError(f"assign_ shape {values.shape} != {self.data.shape}")
+        if _checked and not np.all(np.isfinite(values)):
+            raise NonFiniteError("assign_ with NaN or Inf values")
+        self.data = values.copy()
+        self._version += 1
+
+    def add_(self, delta: np.ndarray) -> None:
+        self.data = self.data + delta
+        self._version += 1
+
+    def __repr__(self) -> str:
+        flag = ", requires_grad=True" if self.requires_grad else ""
+        return f"Tensor(shape={self.shape}{flag})"
+
+    # -- operators ------------------------------------------------------------
+
+    def __add__(self, other):
+        return add(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return sub(self, other)
+
+    def __rsub__(self, other):
+        return sub(other, self)
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return div(self, other)
+
+    def __rtruediv__(self, other):
+        return div(other, self)
+
+    def __neg__(self):
+        return neg(self)
+
+    def __pow__(self, p):
+        return pow_scalar(self, p)
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
+    def __getitem__(self, key):
+        return getitem(self, key)
+
+    @property
+    def T(self) -> "Tensor":
+        return transpose(self)
+
+    def reshape(self, *shape) -> "Tensor":
+        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+            shape = tuple(shape[0])
+        return reshape(self, shape)
+
+    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+        return tsum(self, axis=axis, keepdims=keepdims)
+
+    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+        return tmean(self, axis=axis, keepdims=keepdims)
+
+
+class GradTape:
+    """Ordered record of taped operations; context manager.
+
+    Creation order of op outputs is a topological order of the graph, so the
+    reverse sweep visits every node after all of its consumers.
+    """
+
+    def __init__(self):
+        self._nodes: list[Tensor] = []
+
+    def __enter__(self) -> "GradTape":
+        _tape_stack().append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        stack = _tape_stack()
+        if not stack or stack[-1] is not self:
+            raise UsageError("GradTape exited out of order")
+        stack.pop()
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def _record(self, out: Tensor, parents: tuple, backward_fn: Callable) -> None:
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward_fn
+        self._nodes.append(out)
+
+    def backward(self, loss: Tensor) -> None:
+        """Populate .grad for every requires_grad tensor reachable from loss."""
+        if loss.size != 1:
+            raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
+        pending: dict[int, tuple[Tensor, np.ndarray]] = {
+            id(loss): (loss, np.ones_like(loss.data))
+        }
+        for node in reversed(self._nodes):
+            entry = pending.pop(id(node), None)
+            if entry is None:
+                continue
+            _, g = entry
+            node.grad = g
+            grads = node._backward(g)
+            for parent, pg in zip(node._parents, grads):
+                if pg is None or not parent.requires_grad:
+                    continue
+                prev = pending.get(id(parent))
+                if prev is None:
+                    pending[id(parent)] = (parent, pg)
+                else:
+                    pending[id(parent)] = (parent, prev[1] + pg)
+        # whatever is left belongs to leaves (tensors not produced on this tape)
+        for tensor, g in pending.values():
+            tensor.grad = g if tensor.grad is None else tensor.grad + g
+
+
+def backward(loss: Tensor, tape: GradTape) -> None:
+    """Run the reverse sweep of `tape` from the scalar `loss`."""
+    tape.backward(loss)
+
+
+# -- helpers -------------------------------------------------------------------
+
+
+def tensor(data, requires_grad: bool = False) -> Tensor:
+    if isinstance(data, Tensor):
+        if not requires_grad or data.requires_grad:
+            return data
+        return Tensor(data.data, requires_grad=True)
+    return Tensor(data, requires_grad)
+
+
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _make(data: np.ndarray, parents: tuple, backward_fn: Callable) -> Tensor:
+    """Create an op output, recording it when a tape is active."""
+    out = Tensor(data)
+    tape = active_tape()
+    if tape is not None and any(p.requires_grad for p in parents):
+        tape._record(out, parents, backward_fn)
+    return out
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce a broadcast gradient back to `shape`."""
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, extent in enumerate(shape):
+        if extent == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+# -- elementwise arithmetic ------------------------------------------------------
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    return _make(
+        a.data + b.data,
+        (a, b),
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+    )
+
+
+def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    return _make(
+        a.data - b.data,
+        (a, b),
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+    )
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    return _make(
+        a.data * b.data,
+        (a, b),
+        lambda g: (
+            _unbroadcast(g * b.data, a.shape),
+            _unbroadcast(g * a.data, b.shape),
+        ),
+    )
+
+
+def div(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    return _make(
+        a.data / b.data,
+        (a, b),
+        lambda g: (
+            _unbroadcast(g / b.data, a.shape),
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+        ),
+    )
+
+
+def neg(a) -> Tensor:
+    a = _as_tensor(a)
+    return _make(-a.data, (a,), lambda g: (-g,))
+
+
+def pow_scalar(a, p: float) -> Tensor:
+    a = _as_tensor(a)
+    p = float(p)
+    return _make(
+        a.data ** p,
+        (a,),
+        lambda g: (g * p * a.data ** (p - 1.0),),
+    )
+
+
+def exp(a) -> Tensor:
+    a = _as_tensor(a)
+    out_data = np.exp(a.data)
+    return _make(out_data, (a,), lambda g: (g * out_data,))
+
+
+def log(a) -> Tensor:
+    a = _as_tensor(a)
+    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def sqrt(a) -> Tensor:
+    a = _as_tensor(a)
+    out_data = np.sqrt(a.data)
+    return _make(out_data, (a,), lambda g: (g * 0.5 / out_data,))
+
+
+def cos(a) -> Tensor:
+    a = _as_tensor(a)
+    return _make(np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),))
+
+
+def sin(a) -> Tensor:
+    a = _as_tensor(a)
+    return _make(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),))
+
+
+def absolute(a) -> Tensor:
+    a = _as_tensor(a)
+    return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+
+
+_relu_observer = None
+
+
+def set_relu_observer(fn) -> None:
+    """Diagnostic hook receiving every relu pre-activation array (or None).
+
+    Finite-difference audits use it to confirm no unit sits near the kink."""
+    global _relu_observer
+    _relu_observer = fn
+
+
+def relu(a) -> Tensor:
+    a = _as_tensor(a)
+    if _relu_observer is not None:
+        _relu_observer(a.data)
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
+
+
+def clamp(a, lo: float, hi: float) -> Tensor:
+    a = _as_tensor(a)
+    return _make(
+        np.clip(a.data, lo, hi),
+        (a,),
+        lambda g: (g * ((a.data >= lo) & (a.data <= hi)),),
+    )
+
+
+# -- structure ops ----------------------------------------------------------------
+
+
+def matmul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
+    return _make(
+        a.data @ b.data,
+        (a, b),
+        lambda g: (g @ b.data.T, a.data.T @ g),
+    )
+
+
+def transpose(a) -> Tensor:
+    a = _as_tensor(a)
+    if a.ndim != 2:
+        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
+    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def reshape(a, shape: tuple) -> Tensor:
+    a = _as_tensor(a)
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+
+
+def concat(parts: Sequence, axis: int = 0) -> Tensor:
+    parts = [_as_tensor(p) for p in parts]
+    extents = [p.shape[axis] for p in parts]
+    offsets = np.cumsum([0] + extents)
+
+    def bwd(g):
+        return tuple(
+            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
+            for i in range(len(parts))
+        )
+
+    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
+
+
+def getitem(a, key) -> Tensor:
+    a = _as_tensor(a)
+
+    def bwd(g):
+        buf = np.zeros_like(a.data)
+        buf[key] = g
+        return (buf,)
+
+    return _make(a.data[key].copy(), (a,), bwd)
+
+
+def index_rows(a, idx: np.ndarray) -> Tensor:
+    """Gather rows along axis 0; backward scatter-adds (duplicates allowed)."""
+    a = _as_tensor(a)
+    idx = np.asarray(idx)
+
+    def bwd(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        return (buf,)
+
+    return _make(a.data[idx], (a,), bwd)
+
+
+def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = _as_tensor(a)
+
+    def bwd(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.shape).copy(),)
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).copy(),)
+
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+
+
+def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = _as_tensor(a)
+    if axis is None:
+        count = a.size
+    else:
+        count = a.shape[axis]
+    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+# -- linear-algebra primitives ----------------------------------------------------
+
+
+def logabsdet(w, lu: LuFactors | None = None) -> Tensor:
+    """log|det W| of a square matrix; backward uses d log|det W| = W^{-T}."""
+    w = _as_tensor(w)
+    factors = lu if lu is not None else lu_factor(w.data)
+
+    def bwd(g):
+        return (float(g) * factors.inverse().T,)
+
+    return _make(np.float64(factors.logabsdet()), (w,), bwd)
+
+
+def solve_rows(y, w, lu: LuFactors | None = None) -> Tensor:
+    """Row-wise solve: returns X with X @ W.T == Y, i.e. X = Y @ W^{-T}."""
+    y, w = _as_tensor(y), _as_tensor(w)
+    factors = lu if lu is not None else lu_factor(w.data)
+    x = factors.solve(y.data.T).T
+
+    def bwd(g):
+        gy = factors.solve_transposed(g.T).T  # G @ W^{-1}
+        gw = -gy.T @ x
+        return (gy, gw)
+
+    return _make(x, (y, w), bwd)
+
+
+# -- convolution --------------------------------------------------------------------
+
+
+def conv2d(x, kernel) -> Tensor:
+    """Same-padded 2-D convolution in HWC layout.
+
+    `x` is [H,W,Cin] or [N,H,W,Cin]; `kernel` is [k,k,Cin,Cout]; zero padding,
+    odd k only. Computed as one gemm per kernel offset on flattened slices of
+    the padded input; backward re-contracts against the retained padded input
+    instead of keeping an im2col buffer alive on the tape.
+    """
+    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    from ..errors import ConfigError
+
+    if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
+        raise ShapeError(f"kernel must be [k,k,Cin,Cout], got {kernel.shape}")
+    k = kernel.shape[0]
+    if k % 2 == 0:
+        raise ConfigError(f"conv2d kernel size must be odd, got {k}")
+    squeeze = x.ndim == 3
+    xd = x.data[None] if squeeze else x.data
+    if xd.ndim != 4:
+        raise ShapeError(f"conv2d input must be [H,W,C] or [N,H,W,C], got {x.shape}")
+    n, h, w, cin = xd.shape
+    if cin != kernel.shape[2]:
+        raise ShapeError(
+            f"conv2d channel mismatch: input {cin} vs kernel {kernel.shape[2]}"
+        )
+    cout = kernel.shape[3]
+    pad = k // 2
+    xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    flat = (n * h * w, cin)
+    out = np.zeros((n * h * w, cout))
+    for dy in range(k):
+        for dx in range(k):
+            xs = np.ascontiguousarray(xp[:, dy : dy + h, dx : dx + w, :]).reshape(flat)
+            out += xs @ kernel.data[dy, dx]
+    out = out.reshape(n, h, w, cout)
+
+    def bwd(g):
+        g2 = np.ascontiguousarray(g).reshape(n * h * w, cout)
+        gk = np.empty_like(kernel.data) if kernel.requires_grad else None
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        for dy in range(k):
+            for dx in range(k):
+                xs = np.ascontiguousarray(xp[:, dy : dy + h, dx : dx + w, :]).reshape(flat)
+                if gk is not None:
+                    gk[dy, dx] = xs.T @ g2
+                if gxp is not None:
+                    gslice = (g2 @ kernel.data[dy, dx].T).reshape(n, h, w, cin)
+                    gxp[:, dy : dy + h, dx : dx + w, :] += gslice
+        if gxp is None:
+            gx = None
+        else:
+            gx = gxp[:, pad : pad + h, pad : pad + w, :]
+            gx = gx[0] if squeeze else gx
+        return (gx, gk)
+
+    return _make(out[0] if squeeze else out, (x, kernel), bwd)

@@ -1,0 +1,273 @@
+"""End-to-end arbitrary-scale super-resolution.
+
+The sH x sW output raster is tiled by ceil(sH/n) x ceil(sW/n) non-overlapping
+n x n patches anchored top-left; border patches are generated at full size
+and cropped so the flow dimension stays fixed. Texture (the residual of the
+HR image over the bilinearly upsampled LR image) is modeled per patch and the
+bilinear base is added back at the end.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import numerics as nm
+from .errors import UsageError
+from .imaging import Image, bilinear_upsample
+from .implicit import (
+    conditioner,
+    bank_maps,
+    ensemble_features,
+    neighborhood_geometry,
+    phase_vector,
+    tile_single_neighbor,
+)
+from .model import Model
+
+ENSEMBLE_FOURIER = "fourier"
+ENSEMBLE_LOCAL = "local"
+
+
+def round_half_up(x: float) -> int:
+    return int(math.floor(x + 0.5))
+
+
+@dataclass
+class ScaleSpec:
+    """Source extents plus the rounded target extents for a scale factor."""
+
+    s: float
+    height: int
+    width: int
+
+    def __post_init__(self):
+        if self.s <= 0:
+            raise UsageError("scale must be positive")
+
+    @property
+    def target_height(self) -> int:
+        return max(1, round_half_up(self.s * self.height))
+
+    @property
+    def target_width(self) -> int:
+        return max(1, round_half_up(self.s * self.width))
+
+    @property
+    def cell(self) -> float:
+        return 2.0 / self.s
+
+
+@dataclass
+class PatchGrid:
+    """Ceil tiling of the target raster into n x n patches.
+
+    Patch (i, j) covers output rows [i*n, min((i+1)*n, sH)) and the matching
+    columns; centers are those of the uncropped n x n footprint in the
+    [-1, 1] continuous domain of the target raster.
+    """
+
+    n: int
+    target_height: int
+    target_width: int
+
+    @property
+    def rows(self) -> int:  # h = ceil(sH / n)
+        return -(-self.target_height // self.n)
+
+    @property
+    def cols(self) -> int:  # w = ceil(sW / n)
+        return -(-self.target_width // self.n)
+
+    @property
+    def num_patches(self) -> int:
+        return self.rows * self.cols
+
+    @property
+    def patch_dim(self) -> int:
+        return 3 * self.n * self.n
+
+    def centers(self) -> np.ndarray:
+        """[h*w, 2] patch-center coordinates, row-major over (i, j)."""
+        n, sh, sw = self.n, self.target_height, self.target_width
+        cy = (2.0 * n * np.arange(self.rows) + n) / sh - 1.0
+        cx = (2.0 * n * np.arange(self.cols) + n) / sw - 1.0
+        grid = np.stack(np.meshgrid(cy, cx, indexing="ij"), axis=-1)
+        return grid.reshape(-1, 2)
+
+    def crop(self, i: int, j: int) -> tuple[int, int, int, int]:
+        """(row_start, row_stop, col_start, col_stop) of patch (i, j) in the raster."""
+        r0 = i * self.n
+        c0 = j * self.n
+        return r0, min(r0 + self.n, self.target_height), c0, min(c0 + self.n, self.target_width)
+
+
+def build_grid(spec: ScaleSpec, n: int) -> PatchGrid:
+    if n < 1:
+        raise UsageError("patch side must be >= 1")
+    return PatchGrid(n, spec.target_height, spec.target_width)
+
+
+def split_patches(arr: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """[sH, sW, 3] -> [h*w, 3n^2], edge-replicating past the raster borders."""
+    n = grid.n
+    if n == 1:
+        return arr.reshape(grid.num_patches, 3)
+    rows = np.minimum(
+        (np.arange(grid.rows) * n)[:, None] + np.arange(n)[None, :], grid.target_height - 1
+    )
+    cols = np.minimum(
+        (np.arange(grid.cols) * n)[:, None] + np.arange(n)[None, :], grid.target_width - 1
+    )
+    # gather to [h, n, w, n, 3], reorder to [h, w, n, n, 3], flatten per patch
+    blocks = arr[rows[:, :, None, None], cols[None, None, :, :]]
+    return blocks.transpose(0, 2, 1, 3, 4).reshape(grid.num_patches, grid.patch_dim)
+
+
+def extract_targets(
+    hr: Image,
+    lr: Image,
+    grid: PatchGrid,
+    rng: np.random.Generator | None = None,
+    dequant: float = 0.0,
+) -> np.ndarray:
+    """Per-patch flattened texture residuals, [h*w, 3n^2].
+
+    Flattening is row-major over (row, col) with RGB innermost. Border
+    patches read edge-replicated residual values beyond the raster; those
+    lanes are cropped away on reassembly. Training mode adds centered
+    uniform dequantization noise of total width `dequant`.
+    """
+    if hr.data.shape[:2] != (grid.target_height, grid.target_width):
+        raise UsageError(
+            f"hr extents {hr.data.shape[:2]} != grid target "
+            f"{(grid.target_height, grid.target_width)}"
+        )
+    residual = hr.data - bilinear_upsample(lr, grid.target_height, grid.target_width).data
+    targets = split_patches(residual, grid)
+    if dequant > 0.0:
+        if rng is None:
+            raise UsageError("dequantization noise needs an rng")
+        targets = targets + rng.uniform(-dequant / 2.0, dequant / 2.0, size=targets.shape)
+    return targets
+
+
+def reassemble(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Place flattened patches back into an [sH, sW, 3] array (borders cropped)."""
+    out = np.empty((grid.target_height, grid.target_width, 3))
+    n = grid.n
+    for i in range(grid.rows):
+        for j in range(grid.cols):
+            block = patches[i * grid.cols + j].reshape(n, n, 3)
+            r0, r1, c0, c1 = grid.crop(i, j)
+            out[r0:r1, c0:c1] = block[: r1 - r0, : c1 - c0]
+    return out
+
+
+def coverage_mask(grid: PatchGrid) -> np.ndarray:
+    """Write counts per output pixel; tiling exactness means all ones."""
+    mask = np.zeros((grid.target_height, grid.target_width), dtype=int)
+    for i in range(grid.rows):
+        for j in range(grid.cols):
+            r0, r1, c0, c1 = grid.crop(i, j)
+            mask[r0:r1, c0:c1] += 1
+    return mask
+
+
+def generate_texture_patches(
+    model: Model,
+    fm_tensor: nm.Tensor,
+    lr_shape: tuple[int, int],
+    centers: np.ndarray,
+    cell: float,
+    z: np.ndarray,
+    ensemble: str = ENSEMBLE_FOURIER,
+) -> np.ndarray:
+    """Run conditioner + flow inverse for a block of queries; returns [Q, D]."""
+    h, w = lr_shape
+    params = model.implicit_params
+    amap, fmap = bank_maps(fm_tensor, params)
+    k2 = amap.shape[2]
+    amap_flat = amap.reshape(h * w, k2)
+    fmap_flat = fmap.reshape(h * w, k2)
+    indices, coords, weights = neighborhood_geometry(h, w, centers)
+    q = centers.shape[0]
+    phases = phase_vector(np.full(q, cell), params)
+    weighting = params.cfg.ensemble_weighting
+    if ensemble == ENSEMBLE_FOURIER:
+        kappa = ensemble_features(
+            amap_flat, fmap_flat, phases, centers, indices, coords, weights, w, weighting
+        )
+        cond = conditioner(kappa, params)
+        return model.flow.inverse(nm.tensor(z), cond).data
+    if ensemble == ENSEMBLE_LOCAL:
+        out = np.zeros((q, model.cfg.patch_dim))
+        for nb in range(4):
+            kappa_nb = tile_single_neighbor(
+                amap_flat, fmap_flat, phases, centers, indices, coords, weights, w, nb, weighting
+            )
+            cond_nb = conditioner(kappa_nb, params)
+            out += weights[:, nb : nb + 1] * model.flow.inverse(nm.tensor(z), cond_nb).data
+        return out
+    raise UsageError(f"unknown ensemble mode {ensemble!r}")
+
+
+def local_ensemble_predict(
+    model: Model,
+    fm_tensor: nm.Tensor,
+    lr_shape: tuple[int, int],
+    centers: np.ndarray,
+    cell: float,
+    z: np.ndarray,
+) -> np.ndarray:
+    """Comparison path: four conditioner + four flow passes per query, patch blend."""
+    return generate_texture_patches(
+        model, fm_tensor, lr_shape, centers, cell, z, ensemble=ENSEMBLE_LOCAL
+    )
+
+
+def super_resolve(
+    lr: Image,
+    s: float,
+    tau: float,
+    model: Model,
+    rng: np.random.Generator | None = None,
+    ensemble: str = ENSEMBLE_FOURIER,
+    chunk: int = 4096,
+    seed: int | None = None,
+) -> Image:
+    """Arbitrary-scale SR: one encode, h*w queries, bilinear base plus texture.
+
+    tau=0 is fully deterministic. With tau>0 the latent block for all patches
+    is drawn up front (row-major patch order) from `rng` or a fresh generator
+    seeded with `seed`, so results do not depend on chunking or evaluation
+    order.
+    """
+    spec = ScaleSpec(s, lr.height, lr.width)
+    grid = build_grid(spec, model.cfg.patch_side)
+    fm = model.encode(lr)
+    centers = grid.centers()
+    d = grid.patch_dim
+    if tau == 0.0:
+        z_all = np.zeros((grid.num_patches, d))
+    else:
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        z_all = tau * rng.standard_normal((grid.num_patches, d))
+    patches = np.empty((grid.num_patches, d))
+    for start in range(0, grid.num_patches, chunk):
+        stop = min(start + chunk, grid.num_patches)
+        patches[start:stop] = generate_texture_patches(
+            model,
+            fm.tensor,
+            (lr.height, lr.width),
+            centers[start:stop],
+            spec.cell,
+            z_all[start:stop],
+            ensemble,
+        )
+    texture = reassemble(patches, grid)
+    base = bilinear_upsample(lr, grid.target_height, grid.target_width).data
+    return Image(np.clip(texture + base, 0.0, 1.0))

@@ -1,0 +1,494 @@
+"""Data pipeline, loss assembly, Adam optimization, and checkpointing.
+
+One training sample: draw scale s ~ U(range), crop round(s*lr_crop)^2 from a
+corpus image, bicubic-downsample to lr_crop^2, and select a fixed number of
+(patch-center, texture-target) pairs without replacement from the crop's
+grid. Stage 1 minimizes weighted NLL; stage 2 adds an L1 term on the tau=0
+prediction. The perceptual term of the full objective is out of scope here
+and fixed at zero.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import struct
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from . import numerics as nm
+from .errors import ConfigError, SingularMatrixError, TrainingError
+from .imaging import Image, bicubic_resample
+from .implicit import conditioner, bank_maps, ensemble_features, neighborhood_geometry, phase_vector
+from .model import Model, ModelConfig
+from .pipeline import PatchGrid, extract_targets, round_half_up
+
+logger = logging.getLogger("linf.training")
+
+CHECKPOINT_MAGIC = b"LINF"
+CHECKPOINT_VERSION = 1
+
+LOG_HEADER = "step,epoch,nll,l1,total,lr"
+
+
+@dataclass
+class TrainConfig:
+    lr_crop: int = 16
+    scale_min: float = 1.0
+    scale_max: float = 4.0
+    pairs_per_image: int | None = None  # default lr_crop^2
+    batch: int = 8
+    lambda_nll: float = 5e-4
+    lambda_l1: float = 1.0
+    stage: int = 1
+    learning_rate: float = 1e-4
+    lr_halve_at: tuple[int, ...] = (1000, 1500)
+    steps: int = 2000
+    steps_per_epoch: int = 500
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+    seed: int = 0
+    dequant: float = 1.0 / 255.0
+    flips: bool = True
+
+    def __post_init__(self):
+        if not (0 < self.scale_min <= self.scale_max):
+            raise ConfigError("scale range must satisfy 0 < low <= high")
+        if self.lambda_nll < 0 or self.lambda_l1 < 0:
+            raise ConfigError("loss weights must be >= 0")
+        if self.stage not in (1, 2):
+            raise ConfigError("stage must be 1 or 2")
+        if self.lr_crop < 2:
+            raise ConfigError("lr_crop must be >= 2")
+
+    @property
+    def pairs(self) -> int:
+        return self.pairs_per_image if self.pairs_per_image else self.lr_crop * self.lr_crop
+
+    def to_dict(self) -> dict:
+        d = asdict(self)
+        d["lr_halve_at"] = list(self.lr_halve_at)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        d = dict(d)
+        d["lr_halve_at"] = tuple(d.get("lr_halve_at", ()))
+        return cls(**d)
+
+
+def desk_model_config() -> ModelConfig:
+    """Desk-scale model: CI-size encoder, full-size conditioner and flow."""
+    return ModelConfig(
+        patch_side=1,
+        frequencies=16,
+        flow_layers=10,
+        encoder_channels=32,
+        encoder_blocks=4,
+        trunk_width=256,
+    )
+
+
+def desk_train_config(seed: int = 0) -> TrainConfig:
+    """Desk-scale schedule: 2000 steps, lr 1e-4 halved at 50% and 75%."""
+    return TrainConfig(
+        lr_crop=16,
+        batch=8,
+        steps=2000,
+        lr_halve_at=(1000, 1500),
+        steps_per_epoch=500,
+        stage=2,
+        learning_rate=1e-4,
+        seed=seed,
+    )
+
+
+@dataclass
+class CropSample:
+    """One crop's query set, fully precomputed geometry included."""
+
+    lr_data: np.ndarray  # [lr, lr, 3]
+    scale: float
+    cell: float
+    coords: np.ndarray  # [Q, 2]
+    targets: np.ndarray  # [Q, D]
+    nb_indices: np.ndarray  # [Q, 4, 2]
+    nb_coords: np.ndarray  # [Q, 4, 2]
+    nb_weights: np.ndarray  # [Q, 4]
+
+
+def make_batch(
+    corpus: list[Image], cfg: TrainConfig, rng: np.random.Generator, patch_side: int = 1
+) -> list[CropSample]:
+    """Assemble one batch of crops; undersized corpus images are skipped."""
+    samples: list[CropSample] = []
+    attempts = 0
+    while len(samples) < cfg.batch:
+        attempts += 1
+        if attempts > 20 * cfg.batch:
+            raise TrainingError("corpus images too small for the configured crops")
+        img = corpus[int(rng.integers(len(corpus)))]
+        s = float(rng.uniform(cfg.scale_min, cfg.scale_max))
+        hr_size = round_half_up(s * cfg.lr_crop)
+        if img.height < hr_size or img.width < hr_size:
+            logger.warning(
+                "skipping %dx%d corpus image: crop %d too large", img.height, img.width, hr_size
+            )
+            continue
+        y0 = int(rng.integers(img.height - hr_size + 1))
+        x0 = int(rng.integers(img.width - hr_size + 1))
+        hr_data = img.data[y0 : y0 + hr_size, x0 : x0 + hr_size]
+        if cfg.flips and rng.random() < 0.5:
+            hr_data = hr_data[:, ::-1]
+        hr = Image(hr_data.copy())
+        lr = bicubic_resample(hr, cfg.lr_crop, cfg.lr_crop)
+        grid = PatchGrid(patch_side, hr_size, hr_size)
+        targets_all = extract_targets(hr, lr, grid, rng=rng, dequant=cfg.dequant)
+        q = min(cfg.pairs, grid.num_patches)
+        picks = rng.choice(grid.num_patches, size=q, replace=False)
+        coords = grid.centers()[picks]
+        nb_indices, nb_coords, nb_weights = neighborhood_geometry(
+            cfg.lr_crop, cfg.lr_crop, coords
+        )
+        samples.append(
+            CropSample(
+                lr_data=lr.data,
+                scale=s,
+                cell=2.0 / s,
+                coords=coords,
+                targets=targets_all[picks],
+                nb_indices=nb_indices,
+                nb_coords=nb_coords,
+                nb_weights=nb_weights,
+            )
+        )
+    return samples
+
+
+def perceptual_term() -> float:
+    """Placeholder for the out-of-scope perceptual loss path (weight fixed 0).
+
+    The full objective has a third term computed on tau=0.8 samples; with its
+    weight pinned to zero that sampling path is never exercised here.
+    """
+    return 0.0
+
+
+def loss_components(
+    batch: list[CropSample], model: Model, cfg: TrainConfig, extras: dict | None = None
+) -> tuple[nm.Tensor, float, float]:
+    """(total loss tensor, nll value, l1 value) for one batch.
+
+    `extras`, when given, receives diagnostics (currently the minimum |tau=0
+    residual|, used by gradient audits to stay clear of the L1 kink)."""
+    b = len(batch)
+    h = w = cfg.lr_crop
+    params = model.implicit_params
+    k2 = 2 * params.cfg.frequencies
+
+    from .encoder import encode_batch
+
+    stacked = nm.tensor(np.stack([s.lr_data for s in batch]))
+    fm = encode_batch(stacked, model.cfg.encoder_config(), model.encoder_params)  # [B,h,w,C]
+    amap, fmap = bank_maps(fm, params)
+    amap_flat = amap.reshape(b * h * w, k2)
+    fmap_flat = fmap.reshape(b * h * w, k2)
+
+    counts = [s.coords.shape[0] for s in batch]
+    crop_of_query = np.repeat(np.arange(b), counts)
+    coords = np.concatenate([s.coords for s in batch])
+    weights = np.concatenate([s.nb_weights for s in batch])
+    nb_coords = np.concatenate([s.nb_coords for s in batch])
+    # lattice indices flattened with per-crop plane offsets
+    nb_flat = np.concatenate(
+        [
+            (s.nb_indices[:, :, 0] * w + s.nb_indices[:, :, 1]) + i * h * w
+            for i, s in enumerate(batch)
+        ]
+    )
+    targets = np.concatenate([s.targets for s in batch])
+
+    phases_per_crop = phase_vector(np.array([s.cell for s in batch]), params)  # [B,K]
+    phases = nm.index_rows(phases_per_crop, crop_of_query)  # [N,K]
+
+    # inline of ensemble_features with precomputed flat indices across crops
+    n = coords.shape[0]
+    k = k2 // 2
+    a_g = nm.index_rows(amap_flat, nb_flat.reshape(-1)).reshape(n, 4, k2)
+    f_g = nm.index_rows(fmap_flat, nb_flat.reshape(-1)).reshape(n, 4, k, 2)
+    delta = (coords[:, None, :] - nb_coords)[:, :, None, :]
+    theta = nm.add(
+        nm.mul(np.pi, nm.tsum(nm.mul(f_g, nm.tensor(delta)), axis=3)),
+        phases.reshape(n, 1, k),
+    )
+    feats = nm.mul(a_g, nm.concat([nm.cos(theta), nm.sin(theta)], axis=2))
+    if params.cfg.ensemble_weighting == "full":
+        feats = nm.mul(feats, nm.tensor(weights[:, :, None]))
+    kappa = feats.reshape(n, 8 * k)
+
+    cond = conditioner(kappa, params)
+    log_prob = model.flow.log_prob(nm.tensor(targets), cond)
+    if not np.all(np.isfinite(log_prob.data)):
+        bad = int(np.flatnonzero(~np.isfinite(log_prob.data))[0])
+        raise TrainingError(f"non-finite log-likelihood at batch sample {crop_of_query[bad]}")
+    nll = nm.neg(nm.tmean(log_prob))
+    total = nm.mul(cfg.lambda_nll, nll)
+    l1_value = 0.0
+    if cfg.stage == 2:
+        mean_patch = model.flow.inverse(nm.tensor(np.zeros_like(targets)), cond)
+        residual = nm.sub(mean_patch, nm.tensor(targets))
+        if extras is not None:
+            extras["min_abs_residual"] = float(np.abs(residual.data).min())
+        l1 = nm.tmean(nm.absolute(residual))
+        total = nm.add(total, nm.mul(cfg.lambda_l1, l1))
+        l1_value = float(l1.data)
+    if not np.isfinite(float(total.data)):
+        raise TrainingError("non-finite training loss")
+    return total, float(nll.data), l1_value
+
+
+def loss(batch: list[CropSample], model: Model, cfg: TrainConfig) -> nm.Tensor:
+    return loss_components(batch, model, cfg)[0]
+
+
+class Adam:
+    """Adam with bias correction over a named parameter dict."""
+
+    def __init__(self, params: dict[str, nm.Tensor], cfg: TrainConfig):
+        self.params = params
+        self.beta1 = cfg.adam_beta1
+        self.beta2 = cfg.adam_beta2
+        self.eps = cfg.adam_eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.zero_grad()
+
+    def step(self, lr: float) -> None:
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad
+            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
+            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
+            p.assign_(p.data - lr * update)
+
+
+def lr_at_step(cfg: TrainConfig, step: int) -> float:
+    halvings = sum(1 for s in cfg.lr_halve_at if step >= s)
+    return cfg.learning_rate * (0.5 ** halvings)
+
+
+@dataclass
+class TrainResult:
+    model: Model
+    history: list[tuple]  # rows matching LOG_HEADER
+    checkpoint_path: str | None
+
+
+def train(
+    corpus: list[Image],
+    cfg: TrainConfig | None,
+    model_cfg: ModelConfig | None = None,
+    out_dir: str | None = None,
+    resume: str | None = None,
+    model: Model | None = None,
+) -> TrainResult:
+    """Run (or continue) the optimization loop.
+
+    Checkpoints are written at every epoch boundary and at the end; the
+    training log is `train_log.csv` under out_dir. Replaying with the same
+    seed and config is bit-exact, as is resuming from any checkpoint.
+    Passing `model` starts from existing parameters (fine-tuning).
+    """
+    import os
+
+    if resume:
+        ckpt = load_checkpoint(resume)
+        model = ckpt.model
+        cfg = ckpt.train_cfg if cfg is None else cfg
+        rng = np.random.default_rng()
+        rng.bit_generator.state = ckpt.rng_state
+        adam = Adam(model.parameters(), cfg)
+        adam.t = ckpt.adam_t
+        for name in adam.m:
+            adam.m[name] = ckpt.adam_m[name].copy()
+            adam.v[name] = ckpt.adam_v[name].copy()
+        start_step = ckpt.step
+        history: list[tuple] = []
+    else:
+        if cfg is None:
+            raise ConfigError("train needs a TrainConfig unless resuming")
+        if model is None:
+            model_cfg = model_cfg or ModelConfig()
+            model = Model.create(model_cfg, seed=cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
+        adam = Adam(model.parameters(), cfg)
+        start_step = 0
+        history = []
+
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        log_path = os.path.join(out_dir, "train_log.csv")
+        fresh = not (resume and os.path.exists(log_path))
+        log_fh = open(log_path, "w" if fresh else "a")
+        if fresh:
+            log_fh.write(LOG_HEADER + "\n")
+    else:
+        log_fh = None
+
+    ckpt_path = None
+    try:
+        for step in range(start_step + 1, cfg.steps + 1):
+            lr = lr_at_step(cfg, step)
+            batch = make_batch(corpus, cfg, rng, patch_side=model.cfg.patch_side)
+            adam.zero_grad()
+            try:
+                with nm.GradTape() as tape:
+                    total, nll_v, l1_v = loss_components(batch, model, cfg)
+                tape.backward(total)
+                adam.step(lr)
+            except SingularMatrixError:
+                _rejitter_flow(model, rng)
+                logger.warning("singular flow weight at step %d; step rejected, W re-jittered", step)
+                continue
+            epoch = (step - 1) // cfg.steps_per_epoch + 1
+            row = (step, epoch, nll_v, l1_v, float(total.data), lr)
+            history.append(row)
+            if log_fh:
+                log_fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+            at_epoch_end = step % cfg.steps_per_epoch == 0
+            if out_dir and (at_epoch_end or step == cfg.steps):
+                name = f"ckpt_epoch{epoch:03d}.linf" if at_epoch_end else "ckpt_final.linf"
+                ckpt_path = os.path.join(out_dir, name)
+                save_checkpoint(ckpt_path, model, cfg, step, epoch, rng, adam)
+        if out_dir:
+            final = os.path.join(out_dir, "ckpt_final.linf")
+            save_checkpoint(final, model, cfg, cfg.steps, -(-cfg.steps // cfg.steps_per_epoch), rng, adam)
+            ckpt_path = final
+    finally:
+        if log_fh:
+            log_fh.close()
+    return TrainResult(model, history, ckpt_path)
+
+
+def _rejitter_flow(model: Model, rng: np.random.Generator) -> None:
+    for layer in model.flow.layers:
+        layer.weight.assign_(layer.weight.data + 1e-3 * rng.normal(size=layer.weight.shape))
+
+
+# -- checkpoint container ----------------------------------------------------------
+
+
+@dataclass
+class Checkpoint:
+    model: Model
+    train_cfg: TrainConfig
+    step: int
+    epoch: int
+    rng_state: dict
+    adam_t: int
+    adam_m: dict[str, np.ndarray]
+    adam_v: dict[str, np.ndarray]
+
+
+def _write_record(fh, name: str, arr: np.ndarray) -> None:
+    raw = name.encode("utf-8")
+    fh.write(struct.pack("<I", len(raw)))
+    fh.write(raw)
+    fh.write(struct.pack("<I", arr.ndim))
+    for extent in arr.shape:
+        fh.write(struct.pack("<Q", extent))
+    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def save_checkpoint(
+    path: str,
+    model: Model,
+    cfg: TrainConfig,
+    step: int,
+    epoch: int,
+    rng: np.random.Generator,
+    adam: Adam | None = None,
+) -> None:
+    """Little-endian container: magic, version, JSON header, tensor records."""
+    header = {
+        "model_cfg": model.cfg.to_dict(),
+        "train_cfg": cfg.to_dict(),
+        "step": step,
+        "epoch": epoch,
+        "rng_state": rng.bit_generator.state,
+        "adam_t": adam.t if adam else 0,
+    }
+    records: list[tuple[str, np.ndarray]] = list(model.parameters().items())
+    if adam:
+        records += [(f"adam.m.{k}", v) for k, v in adam.m.items()]
+        records += [(f"adam.v.{k}", v) for k, v in adam.v.items()]
+    blob = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", len(records)))
+        for name, tensor in records:
+            _write_record(fh, name, tensor.data if isinstance(tensor, nm.Tensor) else tensor)
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise ConfigError(f"{path}: not a checkpoint (bad magic)")
+    version = struct.unpack_from("<I", blob, 4)[0]
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+    hlen = struct.unpack_from("<I", blob, 8)[0]
+    header = json.loads(blob[12 : 12 + hlen].decode("utf-8"))
+    pos = 12 + hlen
+    count = struct.unpack_from("<I", blob, pos)[0]
+    pos += 4
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        nlen = struct.unpack_from("<I", blob, pos)[0]
+        pos += 4
+        name = blob[pos : pos + nlen].decode("utf-8")
+        pos += nlen
+        rank = struct.unpack_from("<I", blob, pos)[0]
+        pos += 4
+        shape = tuple(
+            struct.unpack_from("<Q", blob, pos + 8 * i)[0] for i in range(rank)
+        )
+        pos += 8 * rank
+        size = int(np.prod(shape)) if shape else 1
+        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=pos).reshape(shape)
+        pos += 8 * size
+        tensors[name] = arr.astype(np.float64)
+
+    model_cfg = ModelConfig.from_dict(header["model_cfg"])
+    model = Model.create(model_cfg, seed=0)
+    for name, p in model.parameters().items():
+        if name not in tensors:
+            raise ConfigError(f"{path}: missing tensor {name}")
+        p.assign_(tensors[name])
+    adam_m = {k[len("adam.m."):] : v for k, v in tensors.items() if k.startswith("adam.m.")}
+    adam_v = {k[len("adam.v."):] : v for k, v in tensors.items() if k.startswith("adam.v.")}
+    return Checkpoint(
+        model=model,
+        train_cfg=TrainConfig.from_dict(header["train_cfg"]),
+        step=header["step"],
+        epoch=header["epoch"],
+        rng_state=header["rng_state"],
+        adam_t=header["adam_t"],
+        adam_m=adam_m,
+        adam_v=adam_v,
+    )
