@@ -100,8 +100,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_sr(args) -> int:
-    if args.scale <= 0:
-        raise UsageError("scale must be positive")
     tau = args.tau if args.tau is not None else default_tau(args.scale)
     ckpt = load_checkpoint(args.model)
     model = ckpt.model

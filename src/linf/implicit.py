@@ -272,20 +272,21 @@ def ensemble_features(
 
     amap_flat/fmap_flat are bank maps flattened to [H*W, 2K]; phases is [Q, K]
     (already expanded per query); indices/coords/weights come from
-    neighborhood_geometry.
+    neighborhood_geometry. Bank maps of several images stacked along H read
+    as one taller lattice, with each image's row indices offset by its start.
     """
     q = indices.shape[0]
     k2 = amap_flat.shape[1]
     k = k2 // 2
     flat_idx = (indices[:, :, 0] * lattice_width + indices[:, :, 1]).reshape(-1)
     a_g = nm.index_rows(amap_flat, flat_idx).reshape(q, 4, k2)
-    f_g = nm.index_rows(fmap_flat, flat_idx).reshape(q, 4, k, 2)
-    delta = (np.atleast_2d(x_q)[:, None, :] - coords)[:, :, None, :]  # [Q,4,1,2]
-    theta = nm.add(
-        nm.mul(np.pi, nm.tsum(nm.mul(f_g, nm.tensor(delta)), axis=3)),
-        phases.reshape(q, 1, k),
-    )
-    feats = nm.mul(a_g, nm.concat([nm.cos(theta), nm.sin(theta)], axis=2))
+    # the 2K frequency channels pair up as K (dy, dx) vectors
+    fy_g = nm.index_rows(fmap_flat[:, 0::2], flat_idx).reshape(q, 4, k)
+    fx_g = nm.index_rows(fmap_flat[:, 1::2], flat_idx).reshape(q, 4, k)
+    delta = np.atleast_2d(x_q)[:, None, :] - coords  # [Q,4,2]
+    dots = nm.add(nm.mul(fy_g, delta[:, :, 0:1]), nm.mul(fx_g, delta[:, :, 1:2]))
+    theta = nm.add(nm.mul(np.pi, dots), phases.reshape(q, 1, k))
+    feats = nm.mul(a_g, nm.cos_sin(theta))
     if weighting == WEIGHTING_FULL:
         feats = nm.mul(feats, nm.tensor(weights[:, :, None]))
     return feats.reshape(q, 8 * k)
@@ -326,9 +327,9 @@ def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
     if kappa.ndim == 1:
         kappa = kappa.reshape(1, kappa.shape[0])
     telemetry.counters.conditioner += kappa.shape[0]
-    h = nm.relu(nm.add(nm.matmul(kappa, params["trunk.w1"]), params["trunk.b1"]))
-    h = nm.relu(nm.add(nm.matmul(h, params["trunk.w2"]), params["trunk.b2"]))
-    out = nm.add(nm.matmul(h, params["head.w"]), params["head.b"])
+    h = nm.affine(kappa, params["trunk.w1"], params["trunk.b1"], relu=True)
+    h = nm.affine(h, params["trunk.w2"], params["trunk.b2"], relu=True)
+    out = nm.affine(h, params["head.w"], params["head.b"])
     d = params.cfg.patch_dim
     alpha_pre, alpha, phi = [], [], []
     for k in range(params.cfg.flow_layers):

@@ -359,6 +359,45 @@ def relu(a) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
 
 
+def cos_sin(a) -> Tensor:
+    """[cos a | sin a] along the last axis, written into one buffer.
+
+    Same values and gradient as concat([cos(a), sin(a)], axis=-1)."""
+    a = _as_tensor(a)
+    k = a.shape[-1]
+    out = np.empty(a.shape[:-1] + (2 * k,))
+    np.cos(a.data, out=out[..., :k])
+    np.sin(a.data, out=out[..., k:])
+    return _make(
+        out, (a,), lambda g: (g[..., k:] * out[..., :k] - g[..., :k] * out[..., k:],)
+    )
+
+
+def affine(x, w, b, relu: bool = False) -> Tensor:
+    """x @ w + b, optionally through relu, in one output buffer.
+
+    Same values and gradients as relu(add(matmul(x, w), b)); the relu
+    observer sees the pre-activation."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"affine expects 2-D operands, got {x.shape} @ {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine inner extents disagree: {x.shape} @ {w.shape}")
+    out = x.data @ w.data
+    out += b.data
+    if relu:
+        if _relu_observer is not None:
+            _relu_observer(out.copy())
+        np.maximum(out, 0.0, out=out)
+
+    def bwd(g):
+        if relu:
+            g = g * (out > 0.0)
+        return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
+
+    return _make(out, (x, w, b), bwd)
+
+
 def clamp(a, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
     return _make(

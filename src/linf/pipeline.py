@@ -44,8 +44,8 @@ class ScaleSpec:
     width: int
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise UsageError("scale must be positive")
+        if not (math.isfinite(self.s) and self.s > 0):
+            raise UsageError(f"scale must be finite and positive, got {self.s}")
 
     @property
     def target_height(self) -> int:
@@ -110,17 +110,18 @@ def build_grid(spec: ScaleSpec, n: int) -> PatchGrid:
     return PatchGrid(n, spec.target_height, spec.target_width)
 
 
+def _lanes(count: int, n: int) -> np.ndarray:
+    """[count, n] raster indices covered by `count` consecutive n-wide patches."""
+    return (np.arange(count) * n)[:, None] + np.arange(n)[None, :]
+
+
 def split_patches(arr: np.ndarray, grid: PatchGrid) -> np.ndarray:
     """[sH, sW, 3] -> [h*w, 3n^2], edge-replicating past the raster borders."""
     n = grid.n
     if n == 1:
         return arr.reshape(grid.num_patches, 3)
-    rows = np.minimum(
-        (np.arange(grid.rows) * n)[:, None] + np.arange(n)[None, :], grid.target_height - 1
-    )
-    cols = np.minimum(
-        (np.arange(grid.cols) * n)[:, None] + np.arange(n)[None, :], grid.target_width - 1
-    )
+    rows = np.minimum(_lanes(grid.rows, n), grid.target_height - 1)
+    cols = np.minimum(_lanes(grid.cols, n), grid.target_width - 1)
     # gather to [h, n, w, n, 3], reorder to [h, w, n, n, 3], flatten per patch
     blocks = arr[rows[:, :, None, None], cols[None, None, :, :]]
     return blocks.transpose(0, 2, 1, 3, 4).reshape(grid.num_patches, grid.patch_dim)
@@ -155,43 +156,43 @@ def extract_targets(
 
 
 def reassemble(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
-    """Place flattened patches back into an [sH, sW, 3] array (borders cropped)."""
-    out = np.empty((grid.target_height, grid.target_width, 3))
+    """Inverse of split_patches: [h*w, 3n^2] -> [sH, sW, 3], borders cropped.
+
+    The result may be a view of `patches`."""
     n = grid.n
-    for i in range(grid.rows):
-        for j in range(grid.cols):
-            block = patches[i * grid.cols + j].reshape(n, n, 3)
-            r0, r1, c0, c1 = grid.crop(i, j)
-            out[r0:r1, c0:c1] = block[: r1 - r0, : c1 - c0]
-    return out
+    blocks = patches.reshape(grid.rows, grid.cols, n, n, 3).transpose(0, 2, 1, 3, 4)
+    raster = blocks.reshape(grid.rows * n, grid.cols * n, 3)
+    return raster[: grid.target_height, : grid.target_width]
 
 
 def coverage_mask(grid: PatchGrid) -> np.ndarray:
-    """Write counts per output pixel; tiling exactness means all ones."""
+    """Write counts per output pixel of the cropped patch footprints; tiling
+    exactness means all ones."""
+    n = grid.n
+    rows = _lanes(grid.rows, n)[:, None, :, None]
+    cols = _lanes(grid.cols, n)[None, :, None, :]
+    rows, cols = np.broadcast_arrays(rows, cols)
+    kept = (rows < grid.target_height) & (cols < grid.target_width)
     mask = np.zeros((grid.target_height, grid.target_width), dtype=int)
-    for i in range(grid.rows):
-        for j in range(grid.cols):
-            r0, r1, c0, c1 = grid.crop(i, j)
-            mask[r0:r1, c0:c1] += 1
+    np.add.at(mask, (rows[kept], cols[kept]), 1)
     return mask
 
 
 def generate_texture_patches(
     model: Model,
-    fm_tensor: nm.Tensor,
+    amap_flat: nm.Tensor,
+    fmap_flat: nm.Tensor,
     lr_shape: tuple[int, int],
     centers: np.ndarray,
     cell: float,
     z: np.ndarray,
     ensemble: str = ENSEMBLE_FOURIER,
 ) -> np.ndarray:
-    """Run conditioner + flow inverse for a block of queries; returns [Q, D]."""
+    """Run conditioner + flow inverse for a block of queries; returns [Q, D].
+
+    amap_flat/fmap_flat are the image's bank maps flattened to [H*W, 2K]."""
     h, w = lr_shape
     params = model.implicit_params
-    amap, fmap = bank_maps(fm_tensor, params)
-    k2 = amap.shape[2]
-    amap_flat = amap.reshape(h * w, k2)
-    fmap_flat = fmap.reshape(h * w, k2)
     indices, coords, weights = neighborhood_geometry(h, w, centers)
     q = centers.shape[0]
     phases = phase_vector(np.full(q, cell), params)
@@ -214,20 +215,6 @@ def generate_texture_patches(
     raise UsageError(f"unknown ensemble mode {ensemble!r}")
 
 
-def local_ensemble_predict(
-    model: Model,
-    fm_tensor: nm.Tensor,
-    lr_shape: tuple[int, int],
-    centers: np.ndarray,
-    cell: float,
-    z: np.ndarray,
-) -> np.ndarray:
-    """Comparison path: four conditioner + four flow passes per query, patch blend."""
-    return generate_texture_patches(
-        model, fm_tensor, lr_shape, centers, cell, z, ensemble=ENSEMBLE_LOCAL
-    )
-
-
 def super_resolve(
     lr: Image,
     s: float,
@@ -242,12 +229,24 @@ def super_resolve(
 
     tau=0 is fully deterministic. With tau>0 the latent block for all patches
     is drawn up front (row-major patch order) from `rng` or a fresh generator
-    seeded with `seed`, so results do not depend on chunking or evaluation
-    order.
+    seeded with `seed`, so the latents do not depend on chunking or
+    evaluation order. The outputs can differ in their last bits between chunk
+    sizes, because BLAS picks its GEMM kernels by row count.
+
+    Per image: the encoder, the bank maps and their [H*W, 2K] flattening, the
+    patch centers and the latents. Per chunk of queries: neighbourhood
+    geometry, phases, ensemble features, conditioner and flow inverse.
     """
     spec = ScaleSpec(s, lr.height, lr.width)
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise UsageError(f"tau must be finite and >= 0, got {tau}")
+    if chunk < 1:
+        raise UsageError(f"chunk must be >= 1, got {chunk}")
     grid = build_grid(spec, model.cfg.patch_side)
     fm = model.encode(lr)
+    amap, fmap = bank_maps(fm.tensor, model.implicit_params)
+    hw = lr.height * lr.width
+    amap_flat, fmap_flat = amap.reshape(hw, -1), fmap.reshape(hw, -1)
     centers = grid.centers()
     d = grid.patch_dim
     if tau == 0.0:
@@ -261,7 +260,8 @@ def super_resolve(
         stop = min(start + chunk, grid.num_patches)
         patches[start:stop] = generate_texture_patches(
             model,
-            fm.tensor,
+            amap_flat,
+            fmap_flat,
             (lr.height, lr.width),
             centers[start:stop],
             spec.cell,

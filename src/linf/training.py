@@ -201,32 +201,16 @@ def loss_components(
     coords = np.concatenate([s.coords for s in batch])
     weights = np.concatenate([s.nb_weights for s in batch])
     nb_coords = np.concatenate([s.nb_coords for s in batch])
-    # lattice indices flattened with per-crop plane offsets
-    nb_flat = np.concatenate(
-        [
-            (s.nb_indices[:, :, 0] * w + s.nb_indices[:, :, 1]) + i * h * w
-            for i, s in enumerate(batch)
-        ]
-    )
+    # the crops' lattices stacked vertically: crop i's rows start at i*h
+    nb_indices = np.concatenate([s.nb_indices + (i * h, 0) for i, s in enumerate(batch)])
     targets = np.concatenate([s.targets for s in batch])
 
     phases_per_crop = phase_vector(np.array([s.cell for s in batch]), params)  # [B,K]
     phases = nm.index_rows(phases_per_crop, crop_of_query)  # [N,K]
-
-    # inline of ensemble_features with precomputed flat indices across crops
-    n = coords.shape[0]
-    k = k2 // 2
-    a_g = nm.index_rows(amap_flat, nb_flat.reshape(-1)).reshape(n, 4, k2)
-    f_g = nm.index_rows(fmap_flat, nb_flat.reshape(-1)).reshape(n, 4, k, 2)
-    delta = (coords[:, None, :] - nb_coords)[:, :, None, :]
-    theta = nm.add(
-        nm.mul(np.pi, nm.tsum(nm.mul(f_g, nm.tensor(delta)), axis=3)),
-        phases.reshape(n, 1, k),
+    kappa = ensemble_features(
+        amap_flat, fmap_flat, phases, coords, nb_indices, nb_coords, weights, w,
+        params.cfg.ensemble_weighting,
     )
-    feats = nm.mul(a_g, nm.concat([nm.cos(theta), nm.sin(theta)], axis=2))
-    if params.cfg.ensemble_weighting == "full":
-        feats = nm.mul(feats, nm.tensor(weights[:, :, None]))
-    kappa = feats.reshape(n, 8 * k)
 
     cond = conditioner(kappa, params)
     log_prob = model.flow.log_prob(nm.tensor(targets), cond)

@@ -149,6 +149,16 @@ class TestSrCommand:
                      "--out", str(tmp_path / "o.ppm")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("scale,tau", [("2", "-1"), ("nan", "0.5")])
+    def test_bad_tau_or_scale_exit2(self, micro_checkpoint, tmp_path, capsys, scale, tau):
+        inp = self._write_input(tmp_path)
+        code = main(["sr", inp, "--model", micro_checkpoint, "--scale", scale, "--tau", tau,
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "o.ppm").exists()
+
     def test_tau0_outputs_byte_identical(self, micro_checkpoint, tmp_path):
         inp = self._write_input(tmp_path)
         for name in ("a.ppm", "b.ppm"):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from linf import telemetry
+from linf import pipeline, telemetry
+from linf.errors import UsageError
 from linf.imaging import Image, bilinear_upsample
 from linf.pipeline import (
     ENSEMBLE_LOCAL,
@@ -13,10 +14,33 @@ from linf.pipeline import (
     extract_targets,
     reassemble,
     round_half_up,
+    split_patches,
     super_resolve,
 )
 
 from .helpers import micro_model
+
+
+def naive_reassemble(patches, grid):
+    """Per-patch loop oracle for reassemble."""
+    out = np.empty((grid.target_height, grid.target_width, 3))
+    n = grid.n
+    for i in range(grid.rows):
+        for j in range(grid.cols):
+            block = patches[i * grid.cols + j].reshape(n, n, 3)
+            r0, r1, c0, c1 = grid.crop(i, j)
+            out[r0:r1, c0:c1] = block[: r1 - r0, : c1 - c0]
+    return out
+
+
+def naive_coverage_mask(grid):
+    """Per-patch loop oracle for coverage_mask."""
+    mask = np.zeros((grid.target_height, grid.target_width), dtype=int)
+    for i in range(grid.rows):
+        for j in range(grid.cols):
+            r0, r1, c0, c1 = grid.crop(i, j)
+            mask[r0:r1, c0:c1] += 1
+    return mask
 
 
 class TestScaleSpec:
@@ -29,6 +53,11 @@ class TestScaleSpec:
     def test_positive_scale_required(self):
         with pytest.raises(Exception):
             ScaleSpec(0.0, 4, 4)
+
+    @pytest.mark.parametrize("s", [-1.0, float("nan"), float("inf")])
+    def test_finite_positive_scale_required(self, s):
+        with pytest.raises(UsageError):
+            ScaleSpec(s, 4, 4)
 
 
 class TestBuildGrid:
@@ -70,6 +99,7 @@ class TestBuildGrid:
             grid = build_grid(ScaleSpec(s, h, w), n)
             mask = coverage_mask(grid)
             assert np.all(mask == 1), (h, w, s, n)
+            np.testing.assert_array_equal(mask, naive_coverage_mask(grid))
 
     def test_centers_match_uncropped_footprint(self):
         grid = build_grid(ScaleSpec(2.0, 6, 6), 3)  # 12x12 target, 4x4 patches
@@ -108,6 +138,18 @@ class TestExtractTargets:
                 lr, spec.target_height, spec.target_width
             ).data
             np.testing.assert_allclose(rebuilt, hr.data, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reassemble_inverts_split_bit_exact(self, n):
+        rng = np.random.default_rng(83 + n)
+        for s in (1.0, 1.9, 2.3, 3.1):
+            spec = ScaleSpec(s, 5, 7)  # 5x7 -> ragged borders for n > 1
+            grid = build_grid(spec, n)
+            raster = rng.random((spec.target_height, spec.target_width, 3))
+            patches = split_patches(raster, grid)
+            rebuilt = reassemble(patches, grid)
+            assert rebuilt.tobytes() == raster.tobytes(), (n, s)
+            assert reassemble(patches, grid).tobytes() == naive_reassemble(patches, grid).tobytes()
 
     def test_extent_mismatch_rejected(self):
         lr = Image(np.zeros((4, 4, 3)))
@@ -161,6 +203,49 @@ class TestSuperResolve:
         b = super_resolve(lr, 2.0, 0.6, model, seed=7, chunk=13)
         np.testing.assert_array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("tau,seed", [(0.0, None), (0.6, 8)])
+    def test_chunk_sizes_agree(self, tau, seed):
+        """chunk=4096 and chunk=num_patches make the same single pass and agree
+        bit for bit. chunk=7 hands BLAS 7-row GEMMs, and BLAS picks its
+        kernels by row count, which moves the last bits of some outputs; that
+        difference is bounded here."""
+        model = micro_model(seed=28)
+        p = model.implicit_params
+        p.t["head.w"].assign_(np.random.default_rng(84).normal(size=p["head.w"].shape) * 0.1)
+        lr = Image(np.random.default_rng(85).random((5, 6, 3)))
+        num_patches = build_grid(ScaleSpec(2.2, 5, 6), 1).num_patches
+        small, whole, exact = (
+            super_resolve(lr, 2.2, tau, model, seed=seed, chunk=chunk).data
+            for chunk in (7, 4096, num_patches)
+        )
+        assert whole.tobytes() == exact.tobytes()
+        np.testing.assert_allclose(small, whole, rtol=0.0, atol=1e-12)
+
+    def test_bank_maps_once_per_image(self, monkeypatch):
+        model = micro_model(seed=29)
+        lr = Image(np.random.default_rng(86).random((5, 5, 3)))
+        calls = []
+        original = pipeline.bank_maps
+
+        def counting_bank_maps(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "bank_maps", counting_bank_maps)
+        super_resolve(lr, 3.0, 0.5, model, seed=1, chunk=7)  # 225 patches, 33 chunks
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("s,tau,chunk", [
+        (float("nan"), 0.5, 64), (float("inf"), 0.5, 64), (-2.0, 0.5, 64),
+        (2.0, -1.0, 64), (2.0, float("nan"), 64), (2.0, float("inf"), 64),
+        (2.0, 0.5, 0), (2.0, 0.5, -3),
+    ])
+    def test_rejects_bad_scale_tau_or_chunk(self, s, tau, chunk):
+        model = micro_model(seed=30)
+        lr = Image(np.zeros((3, 3, 3)))
+        with pytest.raises(UsageError):
+            super_resolve(lr, s, tau, model, seed=1, chunk=chunk)
+
     def test_scale_one_zero_texture_identity(self):
         model = micro_model(seed=24, flow_init_std=0.0)
         rng = np.random.default_rng(79)
@@ -188,7 +273,7 @@ class TestSuperResolve:
     def test_local_ensemble_at_neighbor_center_matches_single_pass(self):
         # weight (1,0,0,0): the blend collapses to the single-neighbor
         # prediction, which equals the one-pass ensemble result
-        from linf.implicit import pixel_centers
+        from linf.implicit import bank_maps, pixel_centers
         from linf.pipeline import generate_texture_patches
 
         model = micro_model(seed=27)
@@ -196,12 +281,13 @@ class TestSuperResolve:
         p = model.implicit_params
         p.t["head.w"].assign_(rng.normal(size=p["head.w"].shape) * 0.1)
         lr = Image(rng.random((5, 5, 3)))
-        fm = model.encode(lr)
+        amap, fmap = bank_maps(model.encode(lr).tensor, p)
+        banks = amap.reshape(25, -1), fmap.reshape(25, -1)
         center = np.array([[pixel_centers(5)[2], pixel_centers(5)[1]]])
         z = 0.5 * rng.standard_normal((1, model.cfg.patch_dim))
-        a = generate_texture_patches(model, fm.tensor, (5, 5), center, 1.0, z)
+        a = generate_texture_patches(model, *banks, (5, 5), center, 1.0, z)
         b = generate_texture_patches(
-            model, fm.tensor, (5, 5), center, 1.0, z, ensemble=ENSEMBLE_LOCAL
+            model, *banks, (5, 5), center, 1.0, z, ensemble=ENSEMBLE_LOCAL
         )
         np.testing.assert_allclose(a, b, atol=1e-12)
 

@@ -167,6 +167,7 @@ PRIMITIVE_CASES = [
     ("sqrt", lambda a: nm.sqrt(nm.add(nm.absolute(a), 0.5)), 1),
     ("cos", lambda a: nm.cos(a), 1),
     ("sin", lambda a: nm.sin(a), 1),
+    ("cos_sin", lambda a: nm.cos_sin(a), 1),
     ("relu_shifted", lambda a: nm.relu(nm.add(a, 0.2)), 1),
     ("pow3", lambda a: nm.pow_scalar(a, 3.0), 1),
     ("neg", lambda a: nm.neg(a), 1),
@@ -196,6 +197,83 @@ def test_primitive_gradcheck_20_random_shapes(name, op, arity):
 
             fd = numeric_grad(f, a.data)
             assert rel(a.grad, fd) < 1e-4, f"{name} arg{i} shape {shape}"
+
+
+def _readout_grads(build, arrays, seed):
+    """(output, grads of every array) for a random linear readout of build(*tensors)."""
+    tensors = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with nm.GradTape() as tape:
+        out = build(*tensors)
+        readout = np.random.default_rng(seed).normal(size=out.shape)
+        loss = nm.tsum(nm.mul(out, nm.tensor(readout)))
+    tape.backward(loss)
+    return out.data, [t.grad for t in tensors]
+
+
+def _affine_chain(x, w, b, relu):
+    out = nm.add(nm.matmul(x, w), b)
+    return nm.relu(out) if relu else out
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_affine_gradcheck_random_shapes(self, relu):
+        rng = np.random.default_rng(91 + relu)
+        for _ in range(10):
+            m, k, n = (int(e) for e in rng.integers(1, 6, size=3))
+            arrays = [rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=n)]
+            readout = rng.normal(size=(m, n))
+            tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
+            with nm.GradTape() as tape:
+                loss = nm.tsum(nm.mul(nm.affine(*tensors, relu=relu), nm.tensor(readout)))
+            tape.backward(loss)
+
+            def f():
+                return float((nm.affine(*arrays, relu=relu).data * readout).sum())
+
+            for t in tensors:
+                assert rel(t.grad, numeric_grad(f, t.data)) < 1e-4, (relu, m, k, n)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_affine_bit_identical_to_op_chain(self, relu):
+        rng = np.random.default_rng(93)
+        arrays = [rng.normal(size=(67, 40)), rng.normal(size=(40, 29)), rng.normal(size=29)]
+        fused, fused_grads = _readout_grads(
+            lambda x, w, b: nm.affine(x, w, b, relu=relu), arrays, seed=94
+        )
+        chain, chain_grads = _readout_grads(
+            lambda x, w, b: _affine_chain(x, w, b, relu), arrays, seed=94
+        )
+        assert fused.tobytes() == chain.tobytes()
+        for g_fused, g_chain in zip(fused_grads, chain_grads):
+            assert g_fused.tobytes() == g_chain.tobytes()
+
+    def test_cos_sin_bit_identical_to_op_chain(self):
+        theta = np.random.default_rng(95).normal(size=(33, 4, 16)) * 5.0
+        fused, (g_fused,) = _readout_grads(nm.cos_sin, [theta], seed=96)
+        chain, (g_chain,) = _readout_grads(
+            lambda t: nm.concat([nm.cos(t), nm.sin(t)], axis=-1), [theta], seed=96
+        )
+        assert fused.tobytes() == chain.tobytes()
+        assert g_fused.tobytes() == g_chain.tobytes()
+
+    def test_affine_relu_observer_sees_preactivation(self):
+        rng = np.random.default_rng(97)
+        x, w, b = rng.normal(size=(6, 5)), rng.normal(size=(5, 4)), rng.normal(size=4)
+        seen = []
+        nm.set_relu_observer(seen.append)
+        try:
+            out = nm.affine(x, w, b, relu=True)
+            nm.affine(x, w, b)
+        finally:
+            nm.set_relu_observer(None)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], x @ w + b)
+        assert seen[0].min() < 0.0 and out.data.min() == 0.0
+
+    def test_affine_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            nm.affine(np.ones((2, 3)), np.ones((2, 3)), np.ones(3))
 
 
 class TestStructureOps:
