@@ -104,7 +104,7 @@ def cmd_sr(args) -> int:
     ckpt = load_checkpoint(args.model)
     model = ckpt.model
     if args.weighting is not None:
-        model.implicit_params.cfg.ensemble_weighting = args.weighting
+        model.cfg.ensemble_weighting = args.weighting
     lr = read_image(args.input)
     spec = ScaleSpec(args.scale, lr.height, lr.width)
     grid = build_grid(spec, model.cfg.patch_side)
@@ -112,7 +112,7 @@ def cmd_sr(args) -> int:
         "sr",
         {"model": args.model, "input": args.input, "scale": args.scale,
          "tau": tau, "seed": args.seed, "ensemble": args.ensemble,
-         "weighting": model.implicit_params.cfg.ensemble_weighting,
+         "weighting": model.cfg.ensemble_weighting,
          "patch_n": model.cfg.patch_side, "out": args.out},
     )
     telemetry.counters.reset()

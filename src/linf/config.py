@@ -8,7 +8,8 @@ the declared type of the target field. Unknown keys are rejected by name.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -45,54 +46,36 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def _convert(raw: str, kind):
-    if kind is bool or kind == "bool":
+    """Parse one raw value as the declared type of its field."""
+    if kind is bool:
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if kind is int or kind == "int":
+    if kind in (int, float, str):
+        return kind(raw)
+    if kind == int | None:
         return int(raw)
-    if kind is float or kind == "float":
-        return float(raw)
-    if kind is str or kind == "str":
-        return raw
-    # tuple-of-int fields (learning-rate schedule)
-    if raw.strip() == "":
-        return ()
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+    if kind == tuple[int, ...]:  # comma- or space-separated, may be empty
+        return tuple(int(tok) for tok in raw.replace(",", " ").split())
+    raise TypeError(f"no config parser for field type {kind!r}")
 
 
-_FIELD_KINDS = {
-    "pairs_per_image": int,  # Optional[int] in the dataclass
-    "lr_halve_at": tuple,
-}
+_FIELD_TYPES = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
 
 def build_configs(values: dict[str, str]) -> tuple[ModelConfig, TrainConfig, DataConfig]:
     """Materialize the three config dataclasses, rejecting unknown keys."""
     buckets: dict[str, dict] = {name: {} for name in _SECTIONS}
-    field_types = {
-        name: {f.name: f.type for f in fields(cls)} for name, cls in _SECTIONS.items()
-    }
     for full_key, raw in values.items():
         section, _, key = full_key.partition(".")
-        if section not in _SECTIONS or not key or key not in field_types[section]:
+        kinds = _FIELD_TYPES.get(section, {})
+        if key not in kinds:
             raise ConfigError(f"unknown config key {full_key!r}")
-        kind = _FIELD_KINDS.get(key)
-        if kind is None:
-            annotation = str(field_types[section][key])
-            if "bool" in annotation:
-                kind = bool
-            elif "int" in annotation:
-                kind = int
-            elif "float" in annotation:
-                kind = float
-            else:
-                kind = str
         try:
-            buckets[section][key] = _convert(raw, kind)
+            buckets[section][key] = _convert(raw, kinds[key])
         except ValueError as exc:
             raise ConfigError(f"bad value for {full_key!r}: {exc}") from exc
     try:

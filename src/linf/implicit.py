@@ -18,13 +18,15 @@ border neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numerics as nm
 from . import telemetry
-from .encoder import FeatureMap
-from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 ALPHA_CLAMP = 8.0  # pre-activation bound; alpha = exp(clamp(pre, -8, 8))
 
@@ -33,64 +35,14 @@ WEIGHTING_NONE = "none"
 
 
 @dataclass
-class ImplicitConfig:
-    frequencies: int = 16  # K
-    trunk_width: int = 256
-    phase_hidden: int = 16
-    flow_layers: int = 10  # L
-    patch_dim: int = 3  # D = 3 n^2
-    ensemble_weighting: str = WEIGHTING_FULL
-
-    def __post_init__(self):
-        if self.ensemble_weighting not in (WEIGHTING_FULL, WEIGHTING_NONE):
-            raise ConfigError(f"unknown ensemble_weighting {self.ensemble_weighting!r}")
-        if self.frequencies < 1:
-            raise ConfigError("need >= 1 frequency")
-
-
-@dataclass
 class ImplicitParams:
-    """Tensor bundle plus the config that fixes its layout."""
+    """Tensor bundle plus the model config that fixes its layout."""
 
-    cfg: ImplicitConfig
+    cfg: ModelConfig
     t: dict[str, nm.Tensor]
 
     def __getitem__(self, key: str) -> nm.Tensor:
         return self.t[key]
-
-
-@dataclass
-class QueryPoint:
-    """A patch-center query: coordinate in [-1,1]^2 and cell size 2/s."""
-
-    x_q: np.ndarray  # (y, x)
-    cell: float
-
-    def __post_init__(self):
-        if self.cell <= 0:
-            raise ConfigError("cell size must be positive")
-
-
-@dataclass
-class FourierBank:
-    """Per-query amplitudes (2K), frequencies (K x 2), phases (K)."""
-
-    amplitudes: nm.Tensor
-    frequencies: nm.Tensor
-    phases: nm.Tensor
-
-    @property
-    def k(self) -> int:
-        return self.phases.shape[-1]
-
-
-@dataclass
-class EnsembleNeighborhood:
-    """The four lattice neighbors of a query with their bilinear weights."""
-
-    indices: np.ndarray  # [4, 2] clamped (row, col)
-    coords: np.ndarray  # [4, 2] clamped center coordinates
-    weights: np.ndarray  # [4], sums to 1
 
 
 @dataclass
@@ -111,28 +63,6 @@ class ConditionerOutput:
 
 
 # -- lattice geometry ----------------------------------------------------------------
-
-
-def pixel_centers(n: int) -> np.ndarray:
-    """Continuous-domain centers (2i+1)/n - 1 of an n-pixel axis."""
-    return (2.0 * np.arange(n) + 1.0) / n - 1.0
-
-
-def nearest_index(coord: np.ndarray, height: int, width: int) -> tuple[int, int]:
-    """Nearest pixel center to a coordinate, ties toward the smaller index."""
-    # invert the center formula; ceil(x - 0.5) rounds halves downward
-    ry = np.ceil((coord[0] + 1.0) * height / 2.0 - 1.0)
-    cx = np.ceil((coord[1] + 1.0) * width / 2.0 - 1.0)
-    r = int(np.clip(ry, 0, height - 1))
-    c = int(np.clip(cx, 0, width - 1))
-    return r, c
-
-
-def nearest_feature(fm: FeatureMap, x_q: np.ndarray) -> tuple[nm.Tensor, np.ndarray]:
-    """Feature vector at the closest LR pixel center, and that center's coordinate."""
-    r, c = nearest_index(np.asarray(x_q, dtype=np.float64), fm.height, fm.width)
-    coord = np.array([pixel_centers(fm.height)[r], pixel_centers(fm.width)[c]])
-    return fm.tensor[r, c, :], coord
 
 
 def neighborhood_geometry(
@@ -164,25 +94,17 @@ def neighborhood_geometry(
     return indices, coords, weights
 
 
-def ensemble_weights(x_q: np.ndarray, height: int, width: int) -> EnsembleNeighborhood:
-    """Single-query neighborhood with bilinear area weights."""
-    indices, coords, weights = neighborhood_geometry(height, width, np.atleast_2d(x_q))
-    return EnsembleNeighborhood(indices[0], coords[0], weights[0])
-
-
 # -- parameters ------------------------------------------------------------------------
 
 
-def init_implicit_params(
-    cfg: ImplicitConfig, feature_channels: int, rng: np.random.Generator
-) -> ImplicitParams:
+def init_implicit_params(cfg: ModelConfig, rng: np.random.Generator) -> ImplicitParams:
     """Conv heads for amplitude/frequency, phase MLP, and conditioner trunk.
 
     The trunk's output head starts at zero so a fresh model is the identity
     injector (alpha=1, phi=0) for every query.
     """
     k = cfg.frequencies
-    c = feature_channels
+    c = cfg.encoder_channels
     w = cfg.trunk_width
     out_dim = 2 * cfg.flow_layers * cfg.patch_dim
 
@@ -225,38 +147,6 @@ def phase_vector(cell, params: ImplicitParams) -> nm.Tensor:
     return nm.add(nm.matmul(h, params["phase.w2"]), params["phase.b2"])
 
 
-def estimate_bank(
-    fm: FeatureMap,
-    lattice_index: tuple[int, int],
-    cell: float,
-    params: ImplicitParams,
-) -> FourierBank:
-    """Fourier bank at one lattice position.
-
-    Reference path; batched code gathers from precomputed bank maps instead.
-    The frequency head's 2K channels pair up row-major as K (dy, dx) vectors.
-    """
-    r, c = lattice_index
-    amap, fmap = bank_maps(fm.tensor, params)
-    k = params.cfg.frequencies
-    amplitudes = amap[r, c, :]
-    frequencies = fmap[r, c, :].reshape(k, 2)
-    phases = phase_vector(cell, params)[0, :]
-    return FourierBank(amplitudes, frequencies, phases)
-
-
-def fourier_features(bank: FourierBank, delta: np.ndarray) -> nm.Tensor:
-    """Amplitude-modulated [cos; sin] features of the relative coordinate.
-
-    theta_k = pi * <F_k, delta> + P_k; output = A * concat(cos theta, sin theta).
-    """
-    delta_t = nm.tensor(np.asarray(delta, dtype=np.float64))
-    theta = nm.add(
-        nm.mul(np.pi, nm.tsum(nm.mul(bank.frequencies, delta_t), axis=1)), bank.phases
-    )
-    return nm.mul(bank.amplitudes, nm.concat([nm.cos(theta), nm.sin(theta)], axis=0))
-
-
 def ensemble_features(
     amap_flat: nm.Tensor,
     fmap_flat: nm.Tensor,
@@ -290,29 +180,6 @@ def ensemble_features(
     if weighting == WEIGHTING_FULL:
         feats = nm.mul(feats, nm.tensor(weights[:, :, None]))
     return feats.reshape(q, 8 * k)
-
-
-def fourier_feature_ensemble(
-    fm: FeatureMap, query: QueryPoint, params: ImplicitParams
-) -> nm.Tensor:
-    """Single-query ensemble vector kappa in R^{8K}."""
-    amap, fmap = bank_maps(fm.tensor, params)
-    k2 = amap.shape[2]
-    xq2 = np.atleast_2d(np.asarray(query.x_q, dtype=np.float64))
-    indices, coords, weights = neighborhood_geometry(fm.height, fm.width, xq2)
-    phases = phase_vector(query.cell, params)
-    kappa = ensemble_features(
-        amap.reshape(fm.height * fm.width, k2),
-        fmap.reshape(fm.height * fm.width, k2),
-        phases,
-        xq2,
-        indices,
-        coords,
-        weights,
-        fm.width,
-        params.cfg.ensemble_weighting,
-    )
-    return kappa[0, :]
 
 
 # -- parameter generation -------------------------------------------------------------------

@@ -7,14 +7,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nm
-from .encoder import EncoderConfig, FeatureMap, encode, init_encoder_params
+from .encoder import encode_batch, init_encoder_params
 from .errors import ConfigError
 from .imaging import Image
-from .implicit import (
-    ImplicitConfig,
-    ImplicitParams,
-    init_implicit_params,
-)
+from .implicit import WEIGHTING_FULL, WEIGHTING_NONE, ImplicitParams, init_implicit_params
 from .flow import FlowModel
 
 LAYER_ORDER = "linear_first"  # within each pair: linear map, then injector
@@ -22,6 +18,9 @@ LAYER_ORDER = "linear_first"  # within each pair: linear map, then injector
 
 @dataclass
 class ModelConfig:
+    """Every setting of the generator; the encoder, the conditioner and the
+    flow all read this one object."""
+
     patch_side: int = 1  # n
     frequencies: int = 16  # K
     flow_layers: int = 10  # L
@@ -29,7 +28,7 @@ class ModelConfig:
     encoder_blocks: int = 4
     trunk_width: int = 256
     phase_hidden: int = 16
-    ensemble_weighting: str = "full"
+    ensemble_weighting: str = WEIGHTING_FULL
     flow_init_std: float = 0.01
 
     def __post_init__(self):
@@ -37,23 +36,20 @@ class ModelConfig:
             raise ConfigError("patch side must be >= 1")
         if self.flow_layers < 1:
             raise ConfigError("need >= 1 flow layer")
+        if self.encoder_channels < 8:
+            raise ConfigError("encoder channels must be >= 8")
+        if self.encoder_blocks < 1:
+            raise ConfigError("encoder needs >= 1 residual block")
+        if self.frequencies < 1:
+            raise ConfigError("need >= 1 frequency")
+        if self.trunk_width < 1 or self.phase_hidden < 1:
+            raise ConfigError("trunk_width and phase_hidden must be >= 1")
+        if self.ensemble_weighting not in (WEIGHTING_FULL, WEIGHTING_NONE):
+            raise ConfigError(f"unknown ensemble_weighting {self.ensemble_weighting!r}")
 
     @property
     def patch_dim(self) -> int:
         return 3 * self.patch_side * self.patch_side
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(channels=self.encoder_channels, residual_blocks=self.encoder_blocks)
-
-    def implicit_config(self) -> ImplicitConfig:
-        return ImplicitConfig(
-            frequencies=self.frequencies,
-            trunk_width=self.trunk_width,
-            phase_hidden=self.phase_hidden,
-            flow_layers=self.flow_layers,
-            patch_dim=self.patch_dim,
-            ensemble_weighting=self.ensemble_weighting,
-        )
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -87,8 +83,8 @@ class Model:
     @classmethod
     def create(cls, cfg: ModelConfig, seed: int = 0) -> "Model":
         rng = np.random.default_rng(seed)
-        enc = init_encoder_params(cfg.encoder_config(), rng)
-        imp = init_implicit_params(cfg.implicit_config(), cfg.encoder_channels, rng)
+        enc = init_encoder_params(cfg, rng)
+        imp = init_implicit_params(cfg, rng)
         flow = FlowModel.create(
             cfg.patch_side, cfg.flow_layers, rng=rng, init_std=cfg.flow_init_std
         )
@@ -100,8 +96,6 @@ class Model:
         out.update(self.flow.parameters())
         return out
 
-    def encode(self, img: Image) -> FeatureMap:
-        return encode(img, self.cfg.encoder_config(), self.encoder_params)
-
-    def num_parameters(self) -> int:
-        return sum(t.size for t in self.parameters().values())
+    def encode(self, img: Image) -> nm.Tensor:
+        """Feature map [H, W, C] of one image, extents matching the image."""
+        return encode_batch(nm.tensor(img.data), self.cfg, self.encoder_params)

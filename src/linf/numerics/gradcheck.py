@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -51,16 +51,3 @@ def grad_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = max(np.linalg.norm(numeric), np.linalg.norm(analytic), 1e-300)
     return float(np.linalg.norm(analytic - numeric) / denom)
 
-
-def check_param_grads(
-    loss_fn: Callable[[], float],
-    params: Mapping[str, np.ndarray],
-    analytic: Mapping[str, np.ndarray],
-    step: float = FD_STEP,
-) -> dict[str, float]:
-    """Relative error per parameter group between analytic grads and central FD."""
-    errors = {}
-    for name, arr in params.items():
-        numeric = finite_diff_grad(loss_fn, arr, step=step)
-        errors[name] = grad_rel_error(np.asarray(analytic[name]), numeric)
-    return errors

@@ -27,10 +27,6 @@ def set_checked(flag: bool) -> None:
     _checked = bool(flag)
 
 
-def is_checked() -> bool:
-    return _checked
-
-
 def _tape_stack() -> list:
     if not hasattr(_state, "stack"):
         _state.stack = []
@@ -75,9 +71,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -90,10 +83,6 @@ class Tensor:
         if _checked and not np.all(np.isfinite(values)):
             raise NonFiniteError("assign_ with NaN or Inf values")
         self.data = values.copy()
-        self._version += 1
-
-    def add_(self, delta: np.ndarray) -> None:
-        self.data = self.data + delta
         self._version += 1
 
     def __repr__(self) -> str:

@@ -243,8 +243,7 @@ def super_resolve(
     if chunk < 1:
         raise UsageError(f"chunk must be >= 1, got {chunk}")
     grid = build_grid(spec, model.cfg.patch_side)
-    fm = model.encode(lr)
-    amap, fmap = bank_maps(fm.tensor, model.implicit_params)
+    amap, fmap = bank_maps(model.encode(lr), model.implicit_params)
     hw = lr.height * lr.width
     amap_flat, fmap_flat = amap.reshape(hw, -1), fmap.reshape(hw, -1)
     centers = grid.centers()

@@ -14,10 +14,6 @@ class PassCounters:
     flow_forward: int = 0
     flow_inverse: int = 0
 
-    @property
-    def flow_total(self) -> int:
-        return self.flow_forward + self.flow_inverse
-
     def reset(self) -> None:
         self.conditioner = 0
         self.flow_forward = 0

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import numerics as nm
+from .encoder import encode_batch
 from .errors import ConfigError, SingularMatrixError, TrainingError
 from .imaging import Image, bicubic_resample
 from .implicit import conditioner, bank_maps, ensemble_features, neighborhood_geometry, phase_vector
@@ -77,32 +80,6 @@ class TrainConfig:
         d = dict(d)
         d["lr_halve_at"] = tuple(d.get("lr_halve_at", ()))
         return cls(**d)
-
-
-def desk_model_config() -> ModelConfig:
-    """Desk-scale model: CI-size encoder, full-size conditioner and flow."""
-    return ModelConfig(
-        patch_side=1,
-        frequencies=16,
-        flow_layers=10,
-        encoder_channels=32,
-        encoder_blocks=4,
-        trunk_width=256,
-    )
-
-
-def desk_train_config(seed: int = 0) -> TrainConfig:
-    """Desk-scale schedule: 2000 steps, lr 1e-4 halved at 50% and 75%."""
-    return TrainConfig(
-        lr_crop=16,
-        batch=8,
-        steps=2000,
-        lr_halve_at=(1000, 1500),
-        steps_per_epoch=500,
-        stage=2,
-        learning_rate=1e-4,
-        seed=seed,
-    )
 
 
 @dataclass
@@ -167,15 +144,6 @@ def make_batch(
     return samples
 
 
-def perceptual_term() -> float:
-    """Placeholder for the out-of-scope perceptual loss path (weight fixed 0).
-
-    The full objective has a third term computed on tau=0.8 samples; with its
-    weight pinned to zero that sampling path is never exercised here.
-    """
-    return 0.0
-
-
 def loss_components(
     batch: list[CropSample], model: Model, cfg: TrainConfig, extras: dict | None = None
 ) -> tuple[nm.Tensor, float, float]:
@@ -188,10 +156,8 @@ def loss_components(
     params = model.implicit_params
     k2 = 2 * params.cfg.frequencies
 
-    from .encoder import encode_batch
-
     stacked = nm.tensor(np.stack([s.lr_data for s in batch]))
-    fm = encode_batch(stacked, model.cfg.encoder_config(), model.encoder_params)  # [B,h,w,C]
+    fm = encode_batch(stacked, model.cfg, model.encoder_params)  # [B,h,w,C]
     amap, fmap = bank_maps(fm, params)
     amap_flat = amap.reshape(b * h * w, k2)
     fmap_flat = fmap.reshape(b * h * w, k2)
@@ -231,10 +197,6 @@ def loss_components(
     if not np.isfinite(float(total.data)):
         raise TrainingError("non-finite training loss")
     return total, float(nll.data), l1_value
-
-
-def loss(batch: list[CropSample], model: Model, cfg: TrainConfig) -> nm.Tensor:
-    return loss_components(batch, model, cfg)[0]
 
 
 class Adam:
@@ -294,10 +256,10 @@ def train(
     seed and config is bit-exact, as is resuming from any checkpoint.
     Passing `model` starts from existing parameters (fine-tuning).
     """
-    import os
-
     if resume:
         ckpt = load_checkpoint(resume)
+        if not ckpt.adam_m:
+            raise ConfigError(f"{resume}: no optimizer state to resume from")
         model = ckpt.model
         cfg = ckpt.train_cfg if cfg is None else cfg
         rng = np.random.default_rng()
@@ -322,11 +284,7 @@ def train(
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        log_path = os.path.join(out_dir, "train_log.csv")
-        fresh = not (resume and os.path.exists(log_path))
-        log_fh = open(log_path, "w" if fresh else "a")
-        if fresh:
-            log_fh.write(LOG_HEADER + "\n")
+        log_fh = _open_log(os.path.join(out_dir, "train_log.csv"), start_step if resume else None)
     else:
         log_fh = None
 
@@ -363,6 +321,24 @@ def train(
         if log_fh:
             log_fh.close()
     return TrainResult(model, history, ckpt_path)
+
+
+def _open_log(path: str, resume_step: int | None):
+    """train_log.csv opened for appending rows. On resume the rows up to the
+    checkpoint's step are kept and later ones (from the run that went on past
+    the checkpoint) are dropped, so the log matches an uninterrupted run."""
+    kept = [LOG_HEADER + "\n"]
+    if resume_step is not None and os.path.exists(path):
+        with open(path) as fh:
+            rows = fh.readlines()[1:]
+        for row in rows:
+            # rows are in step order; a row cut short by a crash ends the log
+            if not row.endswith("\n") or int(row.split(",", 1)[0]) > resume_step:
+                break
+            kept.append(row)
+    fh = open(path, "w")
+    fh.writelines(kept)
+    return fh
 
 
 def _rejitter_flow(model: Model, rng: np.random.Generator) -> None:
@@ -404,7 +380,10 @@ def save_checkpoint(
     rng: np.random.Generator,
     adam: Adam | None = None,
 ) -> None:
-    """Little-endian container: magic, version, JSON header, tensor records."""
+    """Little-endian container: magic, version, JSON header, tensor records.
+
+    The file is written next to `path` and renamed over it, so a failed
+    write leaves any earlier checkpoint at `path` untouched."""
     header = {
         "model_cfg": model.cfg.to_dict(),
         "train_cfg": cfg.to_dict(),
@@ -418,61 +397,130 @@ def save_checkpoint(
         records += [(f"adam.m.{k}", v) for k, v in adam.m.items()]
         records += [(f"adam.v.{k}", v) for k, v in adam.v.items()]
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(records)))
-        for name, tensor in records:
-            _write_record(fh, name, tensor.data if isinstance(tensor, nm.Tensor) else tensor)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(records)))
+            for name, tensor in records:
+                _write_record(fh, name, tensor.data if isinstance(tensor, nm.Tensor) else tensor)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+class _Reader:
+    """Bounds-checked cursor over a checkpoint's bytes."""
+
+    def __init__(self, blob: bytes, path: str):
+        self.blob = blob
+        self.path = path
+        self.pos = 0
+
+    def fail(self, message: str, offset: int | None = None) -> ConfigError:
+        where = self.pos if offset is None else offset
+        return ConfigError(f"{self.path}: {message} (byte offset {where})")
+
+    def take(self, n: int, what: str) -> int:
+        """Advance past n bytes; returns their start offset."""
+        start = self.pos
+        if n > len(self.blob) - start:
+            raise self.fail(f"truncated checkpoint: {what} runs past the end "
+                            f"({len(self.blob) - start} bytes left)")
+        self.pos = start + n
+        return start
+
+    def u32(self, what: str) -> int:
+        return struct.unpack_from("<I", self.blob, self.take(4, what))[0]
+
+    def text(self, n: int, what: str) -> str:
+        start = self.take(n, what)
+        try:
+            return self.blob[start : self.pos].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.fail(f"{what} is not UTF-8", start) from exc
+
+
+def _read_records(reader: _Reader) -> dict[str, np.ndarray]:
+    blob = reader.blob
+    count = reader.u32("record count")
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        start = reader.pos
+        name = reader.text(reader.u32("record name length"), "record name")
+        rank = reader.u32(f"rank of {name!r}")
+        shape = struct.unpack_from(f"<{rank}Q", blob, reader.take(8 * rank, f"shape of {name!r}"))
+        size = math.prod(shape)
+        offset = reader.take(8 * size, f"data of {name!r}")
+        try:
+            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
+        except ValueError as exc:  # rank or extents numpy cannot represent
+            raise reader.fail(f"bad shape for {name!r}: {exc}", start) from exc
+        tensors[name] = arr.astype(np.float64)
+    if reader.pos != len(blob):
+        raise reader.fail(f"{len(blob) - reader.pos} trailing bytes after the last record")
+    return tensors
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a checkpoint; any malformed or mismatched content raises ConfigError."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
+    reader = _Reader(blob, path)
+    reader.take(4, "magic")
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint (bad magic)")
-    version = struct.unpack_from("<I", blob, 4)[0]
+    version = reader.u32("version")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    hlen = struct.unpack_from("<I", blob, 8)[0]
-    header = json.loads(blob[12 : 12 + hlen].decode("utf-8"))
-    pos = 12 + hlen
-    count = struct.unpack_from("<I", blob, pos)[0]
-    pos += 4
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        nlen = struct.unpack_from("<I", blob, pos)[0]
-        pos += 4
-        name = blob[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        rank = struct.unpack_from("<I", blob, pos)[0]
-        pos += 4
-        shape = tuple(
-            struct.unpack_from("<Q", blob, pos + 8 * i)[0] for i in range(rank)
-        )
-        pos += 8 * rank
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=pos).reshape(shape)
-        pos += 8 * size
-        tensors[name] = arr.astype(np.float64)
+    header_start = reader.pos + 4
+    header_text = reader.text(reader.u32("header length"), "header")
+    tensors = _read_records(reader)
 
-    model_cfg = ModelConfig.from_dict(header["model_cfg"])
-    model = Model.create(model_cfg, seed=0)
-    for name, p in model.parameters().items():
+    try:
+        header = json.loads(header_text)
+        model_cfg = ModelConfig.from_dict(header["model_cfg"])
+        train_cfg = TrainConfig.from_dict(header["train_cfg"])
+        step, epoch, adam_t = (int(header[k]) for k in ("step", "epoch", "adam_t"))
+        rng_state = header["rng_state"]
+        np.random.default_rng(0).bit_generator.state = rng_state  # validates it
+        model = Model.create(model_cfg, seed=0)
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad checkpoint header: {exc!r} (byte offset {header_start})") from exc
+
+    params = model.parameters()
+    shapes = {name: p.shape for name, p in params.items()}
+    expected = dict(shapes)
+    for prefix in ("adam.m.", "adam.v."):
+        if any(name.startswith(prefix) for name in tensors):  # optimizer state is all or none
+            expected.update({prefix + name: shape for name, shape in shapes.items()})
+    for name in sorted(expected.keys() | tensors.keys()):
         if name not in tensors:
             raise ConfigError(f"{path}: missing tensor {name}")
+        if name not in expected:
+            raise ConfigError(f"{path}: unexpected tensor {name!r}")
+        if tensors[name].shape != expected[name]:
+            raise ConfigError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                              f"config wants {expected[name]}")
+    for name, p in params.items():
         p.assign_(tensors[name])
-    adam_m = {k[len("adam.m."):] : v for k, v in tensors.items() if k.startswith("adam.m.")}
-    adam_v = {k[len("adam.v."):] : v for k, v in tensors.items() if k.startswith("adam.v.")}
+    adam_m = {k: tensors[f"adam.m.{k}"] for k in params if f"adam.m.{k}" in tensors}
+    adam_v = {k: tensors[f"adam.v.{k}"] for k in params if f"adam.v.{k}" in tensors}
     return Checkpoint(
         model=model,
-        train_cfg=TrainConfig.from_dict(header["train_cfg"]),
-        step=header["step"],
-        epoch=header["epoch"],
-        rng_state=header["rng_state"],
-        adam_t=header["adam_t"],
+        train_cfg=train_cfg,
+        step=step,
+        epoch=epoch,
+        rng_state=rng_state,
+        adam_t=adam_t,
         adam_m=adam_m,
         adam_v=adam_v,
     )

@@ -39,7 +39,8 @@ class VerifyCheck:
     seconds: float
 
 
-def _random_cond(rng, layers: int, dim: int, batch: int = 1, scale: float = 0.5) -> ConditionerOutput:
+def random_cond(rng, layers: int, dim: int, batch: int = 1, scale: float = 0.5) -> ConditionerOutput:
+    """Random condition: alpha_pre ~ U[-scale, scale] for every layer, then phi ~ scale * N(0, 1)."""
     alpha_pre = [nm.tensor(rng.uniform(-scale, scale, size=(batch, dim))) for _ in range(layers)]
     return ConditionerOutput(
         alpha_pre,
@@ -69,7 +70,7 @@ def check_invertibility() -> tuple[bool, str]:
         rng = np.random.default_rng(seed)
         flow = FlowModel.create(n, 10, rng=rng, init_std=0.1)
         m = rng.normal(size=(1000, flow.d))
-        cond = _random_cond(rng, flow.num_layers, flow.d, batch=1000)
+        cond = random_cond(rng, flow.num_layers, flow.d, batch=1000)
         z, _ = flow.forward(nm.tensor(m), cond)
         err = float(np.abs(flow.inverse(z, cond).data - m).max())
         worst = max(worst, err)
@@ -83,7 +84,7 @@ def check_logdet_vs_numeric_jacobian() -> tuple[bool, str]:
     for n, seed in ((1, 110), (3, 111)):
         rng = np.random.default_rng(seed)
         flow = FlowModel.create(n, 10, rng=rng, init_std=0.05)
-        cond = _random_cond(rng, flow.num_layers, flow.d, scale=0.3)
+        cond = random_cond(rng, flow.num_layers, flow.d, scale=0.3)
         lds = []
         for _ in range(2):
             m = rng.normal(size=(1, flow.d))
@@ -110,7 +111,7 @@ def check_gaussian_equivalence() -> tuple[bool, str]:
     for _ in range(100):
         layers = int(rng.integers(1, 6))
         flow = FlowModel.create(1, layers, rng=rng, init_std=0.2)
-        cond = _random_cond(rng, layers, flow.d)
+        cond = random_cond(rng, layers, flow.d)
         b, a = _probe_affine(flow, cond)
         cov = a @ a.T
         m = rng.normal(size=flow.d)
@@ -229,7 +230,7 @@ def check_density_normalization() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(10):
         flow = FlowModel.create(1, 10, rng=rng, init_std=0.1)
-        cond = _random_cond(rng, flow.num_layers, flow.d)
+        cond = random_cond(rng, flow.num_layers, flow.d)
         b, a = _probe_affine(flow, cond)
         cov = a @ a.T + 1e-12 * np.eye(flow.d)
         chol = np.linalg.cholesky(cov)
@@ -252,7 +253,7 @@ def check_temperature_law() -> tuple[bool, str]:
     """Per-component std ratio between tau 0.8 and 0.4 is 2 +/- 5%; tau=0 is the mean."""
     rng = np.random.default_rng(140)
     flow = FlowModel.create(1, 10, rng=rng, init_std=0.1)
-    cond = _random_cond(rng, flow.num_layers, flow.d)
+    cond = random_cond(rng, flow.num_layers, flow.d)
     mean = flow.inverse(nm.tensor(np.zeros((1, flow.d))), cond).data
     tau0 = flow.sample(cond, 0.0).data
     mean_err = float(np.abs(tau0 - mean).max())

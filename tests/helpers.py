@@ -25,17 +25,6 @@ def micro_model(seed=0, **overrides) -> Model:
     return Model.create(micro_config(**overrides), seed=seed)
 
 
-def make_cond(rng, layers, dim, batch=1, scale=0.5) -> ConditionerOutput:
-    """Random condition with alpha_pre in [-scale, scale]."""
-    alpha_pre, alpha, phi = [], [], []
-    for _ in range(layers):
-        pre = rng.uniform(-scale, scale, size=(batch, dim))
-        alpha_pre.append(nm.tensor(pre))
-        alpha.append(nm.tensor(np.exp(pre)))
-        phi.append(nm.tensor(rng.normal(size=(batch, dim)) * scale))
-    return ConditionerOutput(alpha_pre, alpha, phi)
-
-
 def identity_cond(layers, dim, batch=1) -> ConditionerOutput:
     zeros = np.zeros((batch, dim))
     return ConditionerOutput(

@@ -1,0 +1,129 @@
+"""Single-query reference path of the local implicit conditioner.
+
+The package only runs the batched path (`implicit.ensemble_features` over
+flattened bank maps). These functions compute the same quantities one query
+at a time, from a feature map tensor [H, W, C], so tests can compare the two.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from linf import numerics as nm
+from linf.implicit import (
+    ImplicitParams,
+    bank_maps,
+    ensemble_features,
+    neighborhood_geometry,
+    phase_vector,
+)
+
+
+@dataclass
+class QueryPoint:
+    """A patch-center query: coordinate in [-1,1]^2 and cell size 2/s."""
+
+    x_q: np.ndarray  # (y, x)
+    cell: float
+
+
+@dataclass
+class FourierBank:
+    """Per-query amplitudes (2K), frequencies (K x 2), phases (K)."""
+
+    amplitudes: nm.Tensor
+    frequencies: nm.Tensor
+    phases: nm.Tensor
+
+
+@dataclass
+class EnsembleNeighborhood:
+    """The four lattice neighbors of a query with their bilinear weights."""
+
+    indices: np.ndarray  # [4, 2] clamped (row, col)
+    coords: np.ndarray  # [4, 2] clamped center coordinates
+    weights: np.ndarray  # [4], sums to 1
+
+
+def pixel_centers(n: int) -> np.ndarray:
+    """Continuous-domain centers (2i+1)/n - 1 of an n-pixel axis."""
+    return (2.0 * np.arange(n) + 1.0) / n - 1.0
+
+
+def nearest_index(coord: np.ndarray, height: int, width: int) -> tuple[int, int]:
+    """Nearest pixel center to a coordinate, ties toward the smaller index."""
+    # invert the center formula; ceil(x - 0.5) rounds halves downward
+    ry = np.ceil((coord[0] + 1.0) * height / 2.0 - 1.0)
+    cx = np.ceil((coord[1] + 1.0) * width / 2.0 - 1.0)
+    r = int(np.clip(ry, 0, height - 1))
+    c = int(np.clip(cx, 0, width - 1))
+    return r, c
+
+
+def nearest_feature(fm: nm.Tensor, x_q: np.ndarray) -> tuple[nm.Tensor, np.ndarray]:
+    """Feature vector at the closest LR pixel center, and that center's coordinate."""
+    height, width = fm.shape[0], fm.shape[1]
+    r, c = nearest_index(np.asarray(x_q, dtype=np.float64), height, width)
+    coord = np.array([pixel_centers(height)[r], pixel_centers(width)[c]])
+    return fm[r, c, :], coord
+
+
+def ensemble_weights(x_q: np.ndarray, height: int, width: int) -> EnsembleNeighborhood:
+    """Single-query neighborhood with bilinear area weights."""
+    indices, coords, weights = neighborhood_geometry(height, width, np.atleast_2d(x_q))
+    return EnsembleNeighborhood(indices[0], coords[0], weights[0])
+
+
+def estimate_bank(
+    fm: nm.Tensor,
+    lattice_index: tuple[int, int],
+    cell: float,
+    params: ImplicitParams,
+) -> FourierBank:
+    """Fourier bank at one lattice position.
+
+    The frequency head's 2K channels pair up row-major as K (dy, dx) vectors.
+    """
+    r, c = lattice_index
+    amap, fmap = bank_maps(fm, params)
+    k = params.cfg.frequencies
+    amplitudes = amap[r, c, :]
+    frequencies = fmap[r, c, :].reshape(k, 2)
+    phases = phase_vector(cell, params)[0, :]
+    return FourierBank(amplitudes, frequencies, phases)
+
+
+def fourier_features(bank: FourierBank, delta: np.ndarray) -> nm.Tensor:
+    """Amplitude-modulated [cos; sin] features of the relative coordinate.
+
+    theta_k = pi * <F_k, delta> + P_k; output = A * concat(cos theta, sin theta).
+    """
+    delta_t = nm.tensor(np.asarray(delta, dtype=np.float64))
+    theta = nm.add(
+        nm.mul(np.pi, nm.tsum(nm.mul(bank.frequencies, delta_t), axis=1)), bank.phases
+    )
+    return nm.mul(bank.amplitudes, nm.concat([nm.cos(theta), nm.sin(theta)], axis=0))
+
+
+def fourier_feature_ensemble(
+    fm: nm.Tensor, query: QueryPoint, params: ImplicitParams
+) -> nm.Tensor:
+    """Single-query ensemble vector kappa in R^{8K}."""
+    height, width = fm.shape[0], fm.shape[1]
+    amap, fmap = bank_maps(fm, params)
+    k2 = amap.shape[2]
+    xq2 = np.atleast_2d(np.asarray(query.x_q, dtype=np.float64))
+    indices, coords, weights = neighborhood_geometry(height, width, xq2)
+    phases = phase_vector(query.cell, params)
+    kappa = ensemble_features(
+        amap.reshape(height * width, k2),
+        fmap.reshape(height * width, k2),
+        phases,
+        xq2,
+        indices,
+        coords,
+        weights,
+        width,
+        params.cfg.ensemble_weighting,
+    )
+    return kappa[0, :]

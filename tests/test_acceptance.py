@@ -16,13 +16,7 @@ from linf import verify
 from linf.corpus import holdout_corpus, toy_corpus
 from linf.imaging import bicubic_resample, bilinear_upsample, psnr
 from linf.pipeline import super_resolve
-from linf.training import (
-    TrainConfig,
-    desk_model_config,
-    desk_train_config,
-    load_checkpoint,
-    train,
-)
+from linf.training import TrainConfig, load_checkpoint, train
 
 from .helpers import micro_config
 
@@ -81,13 +75,21 @@ def test_criterion_08_tiling_exactness():
     report(8, ok, detail)
 
 
+# the workers run in tmp_path, so the path must not depend on the cwd
+DESK_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs", "desk.cfg")
+
 _WORKER_SCRIPT = """
 import sys
+from linf.config import load_config
 from linf.corpus import toy_corpus
-from linf.training import desk_model_config, desk_train_config, train
+from linf.training import train
 
-seed, out_dir = int(sys.argv[1]), sys.argv[2]
-train(toy_corpus(32, 96), desk_train_config(seed=seed), desk_model_config(), out_dir=out_dir)
+seed, out_dir, config = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+model_cfg, train_cfg, data_cfg = load_config(config)
+train_cfg.seed = seed
+corpus = toy_corpus(data_cfg.corpus_count, data_cfg.corpus_size)
+train(corpus, train_cfg, model_cfg, out_dir=out_dir)
 """
 
 
@@ -115,7 +117,7 @@ def test_criterion_09_desk_training(tmp_path):
             seed = pending.pop(0)
             out_dir = str(tmp_path / f"run{seed}")
             procs[seed] = subprocess.Popen(
-                [sys.executable, "-c", _WORKER_SCRIPT, str(seed), out_dir],
+                [sys.executable, "-c", _WORKER_SCRIPT, str(seed), out_dir, DESK_CONFIG],
                 env=env, cwd=str(tmp_path),
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             )

@@ -1,17 +1,22 @@
 """CLI exit codes, banners, and CSV schemas (all in-process via main())."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from linf.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, default_tau, main
-from linf.config import build_configs, load_config, parse_config_text
+from linf.config import DataConfig, build_configs, load_config, parse_config_text
 from linf.corpus import toy_corpus
 from linf.errors import ConfigError
 from linf.imaging import Image, write_image
-from linf.model import Model
+from linf.model import Model, ModelConfig
 from linf.training import TrainConfig, save_checkpoint
 
 from .helpers import micro_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SMOKE_CONFIG = """
 # desk smoke run
@@ -79,6 +84,93 @@ class TestConfigParsing:
         assert model_cfg.frequencies == 4
         assert train_cfg.lr_halve_at == (3,)
         assert data_cfg.corpus == "toy"
+
+    def test_every_field_roundtrips(self):
+        # one non-default value per field, so each field's parser is exercised
+        expected = (
+            ModelConfig(
+                patch_side=2, frequencies=5, flow_layers=3, encoder_channels=9,
+                encoder_blocks=2, trunk_width=17, phase_hidden=6,
+                ensemble_weighting="none", flow_init_std=0.125,
+            ),
+            TrainConfig(
+                lr_crop=12, scale_min=1.5, scale_max=3.25, pairs_per_image=40, batch=3,
+                lambda_nll=0.25, lambda_l1=0.5, stage=2, learning_rate=0.002,
+                lr_halve_at=(7, 9, 11), steps=12, steps_per_epoch=4, adam_beta1=0.8,
+                adam_beta2=0.99, adam_eps=1e-7, seed=5, dequant=0.01, flips=False,
+            ),
+            DataConfig(corpus="imgs", corpus_count=4, corpus_size=40, out_dir="runs/x"),
+        )
+
+        def render(value):
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, tuple):
+                return ", ".join(str(v) for v in value)
+            return repr(value) if isinstance(value, float) else str(value)
+
+        lines = []
+        for section, cfg in zip(("model", "train", "data"), expected):
+            lines.append(f"[{section}]")
+            for f in fields(cfg):
+                assert getattr(cfg, f.name) != f.default, f.name
+                lines.append(f"{f.name} = {render(getattr(cfg, f.name))}")
+        assert build_configs(parse_config_text("\n".join(lines))) == expected
+
+    @pytest.mark.parametrize(
+        "key,raw,value",
+        [
+            ("train.lr_halve_at", "", ()),
+            ("train.lr_halve_at", "1000 1500", (1000, 1500)),
+            ("train.lr_halve_at", "1000,1500", (1000, 1500)),
+            ("train.pairs_per_image", "64", 64),
+            ("train.flips", "off", False),
+            ("train.flips", "Yes", True),
+            ("model.flow_init_std", "1e-3", 1e-3),
+        ],
+    )
+    def test_value_forms(self, key, raw, value):
+        section, name = key.split(".")
+        cfgs = dict(zip(("model", "train", "data"), build_configs({key: raw})))
+        assert getattr(cfgs[section], name) == value
+
+    @pytest.mark.parametrize(
+        "key,raw",
+        [
+            ("train.pairs_per_image", ""),
+            ("train.pairs_per_image", "2.5"),
+            ("train.lr_halve_at", "1000, x"),
+            ("train.flips", "maybe"),
+            ("model.frequencies", "sixteen"),
+            ("train.scale_min", "low"),
+        ],
+    )
+    def test_bad_value_named(self, key, raw):
+        with pytest.raises(ConfigError) as err:
+            build_configs({key: raw})
+        assert f"bad value for {key!r}" in str(err.value)
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", ["desk.cfg", "patch3.cfg"])
+    def test_loads_and_builds_model(self, name):
+        model_cfg, train_cfg, data_cfg = load_config(str(CONFIG_DIR / name))
+        model = Model.create(model_cfg, seed=0)
+        assert model.cfg is model_cfg and model.implicit_params.cfg is model_cfg
+        assert train_cfg.steps == 2000 and data_cfg.corpus == "toy"
+
+    def test_desk_values(self):
+        # acceptance criterion 9 trains from this file
+        model_cfg, train_cfg, data_cfg = load_config(str(CONFIG_DIR / "desk.cfg"))
+        assert model_cfg == ModelConfig(
+            patch_side=1, frequencies=16, flow_layers=10, encoder_channels=32,
+            encoder_blocks=4, trunk_width=256,
+        )
+        assert train_cfg == TrainConfig(
+            lr_crop=16, batch=8, steps=2000, lr_halve_at=(1000, 1500),
+            steps_per_epoch=500, stage=2, learning_rate=1e-4, seed=0,
+        )
+        assert (data_cfg.corpus, data_cfg.corpus_count, data_cfg.corpus_size) == ("toy", 32, 96)
 
 
 class TestDefaultTau:
@@ -165,6 +257,27 @@ class TestSrCommand:
             assert main(["sr", inp, "--model", micro_checkpoint, "--scale", "2",
                          "--tau", "0", "--out", str(tmp_path / name)]) == EXIT_OK
         assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing"])
+    def test_bad_checkpoint_exit2(self, micro_checkpoint, tmp_path, capsys, damage):
+        inp = self._write_input(tmp_path)
+        model = tmp_path / "damaged.linf"
+        if damage == "truncated":
+            blob = open(micro_checkpoint, "rb").read()
+            model.write_bytes(blob[: len(blob) // 2])
+        code = main(["sr", inp, "--model", str(model), "--scale", "2",
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "damaged.linf" in err
+        assert not (tmp_path / "o.ppm").exists()
+
+    def test_weighting_override_in_banner(self, micro_checkpoint, tmp_path, capsys):
+        inp = self._write_input(tmp_path)
+        code = main(["sr", inp, "--model", micro_checkpoint, "--scale", "2", "--tau", "0",
+                     "--weighting", "none", "--out", str(tmp_path / "o.ppm")])
+        assert code == EXIT_OK
+        assert "weighting = none" in capsys.readouterr().out
 
     def test_pass_counts_printed(self, micro_checkpoint, tmp_path, capsys):
         inp = self._write_input(tmp_path)

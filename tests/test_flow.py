@@ -8,8 +8,9 @@ from linf import telemetry
 from linf.errors import UsageError
 from linf.flow import LOG_2PI, FlowModel, LinearFlowLayer
 from linf.numerics import finite_diff_jacobian, lu_factor
+from linf.verify import random_cond
 
-from .helpers import identity_cond, make_cond
+from .helpers import identity_cond
 
 
 def identity_flow(patch_side=1, layers=3):
@@ -62,7 +63,7 @@ class TestForward:
     def test_logdet_vs_numeric_jacobian_and_input_independence(self):
         rng = np.random.default_rng(60)
         flow = random_flow(rng)
-        cond = make_cond(rng, flow.num_layers, flow.d)
+        cond = random_cond(rng, flow.num_layers, flow.d)
         logdets = []
         for _ in range(5):
             m = rng.normal(size=(1, flow.d))
@@ -89,7 +90,7 @@ class TestInverse:
         rng = np.random.default_rng(61)
         flow = random_flow(rng, patch_side=1, layers=4)
         m = rng.normal(size=(1000, flow.d))
-        cond = make_cond(rng, flow.num_layers, flow.d, batch=1000)
+        cond = random_cond(rng, flow.num_layers, flow.d, batch=1000)
         z, _ = flow.forward(nm.tensor(m), cond)
         back = flow.inverse(z, cond)
         assert np.abs(back.data - m).max() <= 1e-8
@@ -97,7 +98,7 @@ class TestInverse:
     def test_affine_superposition(self):
         rng = np.random.default_rng(62)
         flow = random_flow(rng)
-        cond = make_cond(rng, flow.num_layers, flow.d)
+        cond = random_cond(rng, flow.num_layers, flow.d)
         z1 = rng.normal(size=(1, flow.d))
         z2 = rng.normal(size=(1, flow.d))
         f = lambda z: flow.inverse(nm.tensor(z), cond).data
@@ -131,7 +132,7 @@ class TestLogProb:
         rng = np.random.default_rng(63)
         for _ in range(20):
             flow = random_flow(rng, layers=int(rng.integers(1, 5)))
-            cond = make_cond(rng, flow.num_layers, flow.d)
+            cond = random_cond(rng, flow.num_layers, flow.d)
             b, a = probe_affine_map(flow, cond)
             cov = a @ a.T
             m = rng.normal(size=flow.d)
@@ -143,7 +144,7 @@ class TestSample:
     def test_tau_zero_is_mean_and_consumes_no_rng(self):
         rng = np.random.default_rng(64)
         flow = random_flow(rng)
-        cond = make_cond(rng, flow.num_layers, flow.d)
+        cond = random_cond(rng, flow.num_layers, flow.d)
         probe = np.random.default_rng(123)
         state_before = probe.bit_generator.state
         out = flow.sample(cond, 0.0, probe)
@@ -170,7 +171,7 @@ class TestSample:
     def test_tau_ratio_scales_std_linearly(self):
         rng = np.random.default_rng(66)
         flow = random_flow(rng)
-        cond = make_cond(rng, flow.num_layers, flow.d)
+        cond = random_cond(rng, flow.num_layers, flow.d)
         s08 = flow.sample(cond, 0.8, np.random.default_rng(1), count=10_000).data.std(axis=0)
         s04 = flow.sample(cond, 0.4, np.random.default_rng(2), count=10_000).data.std(axis=0)
         ratio = s08 / s04

@@ -5,23 +5,19 @@ import pytest
 
 from linf import numerics as nm
 from linf import implicit
-from linf.encoder import FeatureMap
-from linf.implicit import (
-    ALPHA_CLAMP,
+from linf.implicit import ALPHA_CLAMP, conditioner, neighborhood_geometry, phase_vector
+
+from .helpers import micro_model
+from .oracles import (
     FourierBank,
     QueryPoint,
-    conditioner,
     ensemble_weights,
     estimate_bank,
     fourier_feature_ensemble,
     fourier_features,
     nearest_feature,
-    neighborhood_geometry,
     pixel_centers,
-    phase_vector,
 )
-
-from .helpers import micro_model
 from .test_tensor import numeric_grad, rel
 
 
@@ -44,7 +40,7 @@ def bilinear_weight_oracle(x_q, y0, x0, dy, dx):
 
 
 def feature_map_from(rng, h, w, c):
-    return FeatureMap(nm.tensor(rng.normal(size=(h, w, c))))
+    return nm.tensor(rng.normal(size=(h, w, c)))
 
 
 class TestNearestFeature:
@@ -54,14 +50,14 @@ class TestNearestFeature:
         y = pixel_centers(4)[2]
         x = pixel_centers(6)[1]
         v, coord = nearest_feature(fm, np.array([y, x]))
-        np.testing.assert_array_equal(v.data, fm.tensor.data[2, 1])
+        np.testing.assert_array_equal(v.data, fm.data[2, 1])
         np.testing.assert_allclose(coord, [y, x])
 
     def test_corner_clamps_to_origin_pixel(self):
         rng = np.random.default_rng(41)
         fm = feature_map_from(rng, 3, 5, 2)
         v, coord = nearest_feature(fm, np.array([-1.0, -1.0]))
-        np.testing.assert_array_equal(v.data, fm.tensor.data[0, 0])
+        np.testing.assert_array_equal(v.data, fm.data[0, 0])
         np.testing.assert_allclose(coord, [pixel_centers(3)[0], pixel_centers(5)[0]])
 
     def test_random_queries_vs_brute_force(self):
@@ -75,7 +71,7 @@ class TestNearestFeature:
             # exhaustive distance scan; ties toward smaller index via argmin order
             d2 = (ys[:, None] - q[0]) ** 2 + (xs[None, :] - q[1]) ** 2
             r, c = np.unravel_index(np.argmin(d2), d2.shape)
-            np.testing.assert_array_equal(v.data, fm.tensor.data[r, c])
+            np.testing.assert_array_equal(v.data, fm.data[r, c])
 
 
 class TestFourierFeatures:
@@ -126,7 +122,7 @@ class TestEstimateBank:
         p = model.implicit_params
         for key in ("amp.w", "amp.b", "freq.w", "freq.b"):
             p.t[key].assign_(np.zeros_like(p.t[key].data))
-        fm = model.encode_random = feature_map_from(np.random.default_rng(45), 4, 4, 8)
+        fm = feature_map_from(np.random.default_rng(45), 4, 4, 8)
         bank = estimate_bank(fm, (1, 2), 0.5, p)
         assert np.all(bank.amplitudes.data == 0.0)
         assert np.all(bank.frequencies.data == 0.0)
@@ -149,7 +145,7 @@ class TestEstimateBank:
         readout = rng.normal(size=2 * p.cfg.frequencies)
 
         def compute():
-            fm = FeatureMap(nm.tensor(fm_data))
+            fm = nm.tensor(fm_data)
             bank = estimate_bank(fm, (2, 1), 0.8, p)
             feats = fourier_features(bank, delta)
             return nm.tsum(nm.mul(feats, nm.tensor(readout)))
@@ -290,7 +286,7 @@ class TestFourierFeatureEnsemble:
         rng = np.random.default_rng(54)
         fm = feature_map_from(rng, 5, 5, 8)
         q = rng.uniform(-0.4, 0.4, size=2)
-        amap, fmap = implicit.bank_maps(fm.tensor, p)
+        amap, fmap = implicit.bank_maps(fm, p)
         amap_f = amap.reshape(25, 2 * p.cfg.frequencies)
         fmap_f = fmap.reshape(25, 2 * p.cfg.frequencies)
         idx, coords, w = neighborhood_geometry(5, 5, np.atleast_2d(q))

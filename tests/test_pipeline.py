@@ -273,15 +273,17 @@ class TestSuperResolve:
     def test_local_ensemble_at_neighbor_center_matches_single_pass(self):
         # weight (1,0,0,0): the blend collapses to the single-neighbor
         # prediction, which equals the one-pass ensemble result
-        from linf.implicit import bank_maps, pixel_centers
+        from linf.implicit import bank_maps
         from linf.pipeline import generate_texture_patches
+
+        from .oracles import pixel_centers
 
         model = micro_model(seed=27)
         rng = np.random.default_rng(82)
         p = model.implicit_params
         p.t["head.w"].assign_(rng.normal(size=p["head.w"].shape) * 0.1)
         lr = Image(rng.random((5, 5, 3)))
-        amap, fmap = bank_maps(model.encode(lr).tensor, p)
+        amap, fmap = bank_maps(model.encode(lr), p)
         banks = amap.reshape(25, -1), fmap.reshape(25, -1)
         center = np.array([[pixel_centers(5)[2], pixel_centers(5)[1]]])
         z = 0.5 * rng.standard_normal((1, model.cfg.patch_dim))

@@ -1,11 +1,17 @@
 """Batch sampling, loss assembly, optimization, and checkpoint contracts."""
 
+import json
+import math
+import os
+import struct
+
 import numpy as np
 import pytest
 import scipy.stats
 
+from linf import training
 from linf.corpus import toy_corpus
-from linf.errors import TrainingError
+from linf.errors import ConfigError, TrainingError
 from linf.imaging import Image
 from linf.model import Model
 from linf.training import (
@@ -13,6 +19,7 @@ from linf.training import (
     load_checkpoint,
     loss_components,
     make_batch,
+    save_checkpoint,
     train,
 )
 
@@ -171,6 +178,24 @@ class TestTrainLoop:
         ):
             np.testing.assert_array_equal(pf.data, pr.data, err_msg=k)
 
+    def test_resume_truncates_log_to_checkpoint_step(self, tmp_path):
+        corpus = toy_corpus(4, 32, seed=16)
+        cfg = tiny_train_cfg(steps=6, steps_per_epoch=3)
+        train(corpus, cfg, micro_config(), out_dir=str(tmp_path / "full"))
+        run = tmp_path / "run"
+        train(corpus, cfg, micro_config(), out_dir=str(run))
+        train(corpus, cfg, None, out_dir=str(run), resume=str(run / "ckpt_epoch001.linf"))
+        log = (run / "train_log.csv").read_text()
+        assert [row.split(",")[0] for row in log.splitlines()[1:]] == list("123456")
+        assert log == (tmp_path / "full" / "train_log.csv").read_text()
+
+    def test_resume_needs_optimizer_state(self, tmp_path):
+        path = str(tmp_path / "weights_only.linf")
+        model = Model.create(micro_config(), seed=0)
+        save_checkpoint(path, model, tiny_train_cfg(), 0, 0, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="optimizer state"):
+            train(toy_corpus(2, 32), None, resume=path)
+
     def test_train_log_csv_schema(self, tmp_path):
         corpus = toy_corpus(4, 32, seed=17)
         cfg = tiny_train_cfg(steps=4, steps_per_epoch=2)
@@ -226,8 +251,6 @@ class TestCheckpointIO:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.linf"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        from linf.errors import ConfigError
-
         with pytest.raises(ConfigError):
             load_checkpoint(str(path))
 
@@ -246,3 +269,95 @@ class TestCheckpointIO:
         assert header["model_cfg"]["layer_order"] == "linear_first"
         assert header["train_cfg"]["lr_crop"] == cfg.lr_crop
         assert "rng_state" in header
+
+    def test_missing_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="absent.linf"):
+            load_checkpoint(str(tmp_path / "absent.linf"))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = _trained_checkpoint(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(ConfigError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_record_shape_checked_against_config(self, tmp_path):
+        model = Model.create(micro_config(), seed=0)
+        model.cfg = micro_config(trunk_width=16)  # header disagrees with the tensors
+        path = str(tmp_path / "m.linf")
+        save_checkpoint(path, model, tiny_train_cfg(), 0, 0, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="shape"):
+            load_checkpoint(path)
+
+    def test_fuzzed_checkpoints_load_or_raise_config_error(self, tmp_path):
+        blob = open(_trained_checkpoint(tmp_path), "rb").read()
+        header_end, boundaries, data_spans = _layout(blob)
+        rng = np.random.default_rng(0)
+        cuts = set(range(header_end + 1))
+        cuts |= {b + d for b in boundaries for d in (-1, 0, 1)}
+        cuts |= set(rng.integers(0, len(blob), size=200).tolist())
+        path = str(tmp_path / "fuzz.linf")
+        for cut in sorted(c for c in cuts if c < len(blob)):
+            with open(path, "wb") as fh:
+                fh.write(blob[:cut])
+            with pytest.raises(ConfigError):
+                load_checkpoint(path)
+        # a flip inside tensor data only changes a value, so flip the other bytes
+        framing = np.ones(len(blob), dtype=bool)
+        for start, stop in data_spans:
+            framing[start:stop] = False
+        for pos in rng.choice(np.flatnonzero(framing), size=200):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 1 << int(rng.integers(8))
+            with open(path, "wb") as fh:
+                fh.write(flipped)
+            try:
+                load_checkpoint(path)
+            except ConfigError:
+                pass
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = _trained_checkpoint(tmp_path)
+        before = open(path, "rb").read()
+        listing = sorted(os.listdir(tmp_path))
+        written = []
+        original = training._write_record
+
+        def failing_write(fh, name, arr):
+            if len(written) == 5:
+                raise OSError("disk full")
+            written.append(name)
+            original(fh, name, arr)
+
+        monkeypatch.setattr(training, "_write_record", failing_write)
+        model = Model.create(micro_config(), seed=9)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, tiny_train_cfg(), 7, 2, np.random.default_rng(1))
+        assert open(path, "rb").read() == before
+        assert sorted(os.listdir(tmp_path)) == listing
+
+
+def _trained_checkpoint(tmp_path) -> str:
+    """A micro checkpoint with Adam state, written by a 2-step run."""
+    cfg = tiny_train_cfg(steps=2, steps_per_epoch=2)
+    train(toy_corpus(4, 32, seed=22), cfg, micro_config(), out_dir=str(tmp_path))
+    return str(tmp_path / "ckpt_final.linf")
+
+
+def _layout(blob: bytes) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """(end of the JSON header, start offset of every record plus the file
+    end, the byte span of every record's tensor data)."""
+    hlen = struct.unpack_from("<I", blob, 8)[0]
+    json.loads(blob[12 : 12 + hlen])
+    pos = 12 + hlen + 4
+    boundaries, data_spans = [pos], []
+    for _ in range(struct.unpack_from("<I", blob, 12 + hlen)[0]):
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+        rank = struct.unpack_from("<I", blob, pos)[0]
+        shape = struct.unpack_from(f"<{rank}Q", blob, pos + 4)
+        pos += 4 + 8 * rank
+        data_spans.append((pos, pos + 8 * math.prod(shape)))
+        pos = data_spans[-1][1]
+        boundaries.append(pos)
+    assert pos == len(blob)
+    return 12 + hlen, boundaries, data_spans
