@@ -21,10 +21,6 @@ class UsageError(LinfError):
     """Operation called outside its contract (bad argument, wrong mode)."""
 
 
-class NonFiniteError(LinfError):
-    """A NaN or Inf value was produced while checked mode is active."""
-
-
 class ImageParseError(LinfError):
     """Malformed image file; carries the byte offset of the failure."""
 

@@ -24,6 +24,11 @@ from .numerics.linalg import LuFactors, lu_factor
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def identity_jitter(rng: np.random.Generator, d: int, std: float) -> np.ndarray:
+    """Initial flow weight: identity plus N(0, std^2) jitter keeps W invertible."""
+    return np.eye(d) + std * rng.normal(size=(d, d))
+
+
 class LinearFlowLayer:
     """Dense invertible layer h -> h W^T + beta with LU-backed inversion.
 
@@ -92,18 +97,16 @@ class FlowModel:
         rng: np.random.Generator | None = None,
         init_std: float = 0.01,
     ) -> "FlowModel":
-        """Identity-plus-jitter initialization keeps every W invertible."""
+        """A standalone flow with freshly drawn weights and zero biases."""
         d = 3 * patch_side * patch_side
         rng = rng or np.random.default_rng(0)
-        layers = []
-        for _ in range(num_layers):
-            w = np.eye(d) + init_std * rng.normal(size=(d, d))
-            layers.append(
-                LinearFlowLayer(
-                    nm.Tensor(w, requires_grad=True),
-                    nm.Tensor(np.zeros(d), requires_grad=True),
-                )
+        layers = [
+            LinearFlowLayer(
+                nm.Tensor(identity_jitter(rng, d, init_std), requires_grad=True),
+                nm.Tensor(np.zeros(d), requires_grad=True),
             )
+            for _ in range(num_layers)
+        ]
         return cls(layers, patch_side)
 
     def parameters(self) -> dict[str, nm.Tensor]:

@@ -233,22 +233,32 @@ def _to_bytes(img: Image) -> np.ndarray:
 
 
 def write_image(img: Image, path: str) -> None:
-    """Write 8-bit PPM (P6); PNG when the path ends in .png and Pillow exists."""
-    if str(path).lower().endswith(".png"):
-        _write_png(img, path)
-        return
-    raw = _to_bytes(img)
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(raw.tobytes())
+    """Write 8-bit PPM (P6); PNG when the path ends in .png and Pillow exists.
+
+    A path that cannot be written raises UsageError."""
+    try:
+        if str(path).lower().endswith(".png"):
+            _write_png(img, path)
+            return
+        with open(path, "wb") as fh:
+            fh.write(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"))
+            fh.write(_to_bytes(img).tobytes())
+    except OSError as exc:
+        raise UsageError(f"cannot write image {path}: {exc.strerror or exc}") from exc
 
 
 def read_image(path: str) -> Image:
-    if str(path).lower().endswith(".png"):
-        return _read_png(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a PPM (P6) or, with Pillow, a PNG file.
+
+    A path that cannot be read raises UsageError; malformed content raises
+    ImageParseError or ImageFormatError."""
+    try:
+        if str(path).lower().endswith(".png"):
+            return _read_png(path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read image {path}: {exc.strerror or exc}") from exc
     return _parse_ppm(blob)
 
 

@@ -94,42 +94,6 @@ def neighborhood_geometry(
     return indices, coords, weights
 
 
-# -- parameters ------------------------------------------------------------------------
-
-
-def init_implicit_params(cfg: ModelConfig, rng: np.random.Generator) -> ImplicitParams:
-    """Conv heads for amplitude/frequency, phase MLP, and conditioner trunk.
-
-    The trunk's output head starts at zero so a fresh model is the identity
-    injector (alpha=1, phi=0) for every query.
-    """
-    k = cfg.frequencies
-    c = cfg.encoder_channels
-    w = cfg.trunk_width
-    out_dim = 2 * cfg.flow_layers * cfg.patch_dim
-
-    def he(shape, fan_in):
-        return nm.Tensor(rng.normal(size=shape) * np.sqrt(2.0 / fan_in), requires_grad=True)
-
-    tensors = {
-        "amp.w": he((3, 3, c, 2 * k), 9 * c),
-        "amp.b": nm.Tensor(np.zeros(2 * k), requires_grad=True),
-        "freq.w": he((3, 3, c, 2 * k), 9 * c),
-        "freq.b": nm.Tensor(np.zeros(2 * k), requires_grad=True),
-        "phase.w1": he((1, cfg.phase_hidden), 1),
-        "phase.b1": nm.Tensor(np.zeros(cfg.phase_hidden), requires_grad=True),
-        "phase.w2": he((cfg.phase_hidden, k), cfg.phase_hidden),
-        "phase.b2": nm.Tensor(np.zeros(k), requires_grad=True),
-        "trunk.w1": he((8 * k, w), 8 * k),
-        "trunk.b1": nm.Tensor(np.zeros(w), requires_grad=True),
-        "trunk.w2": he((w, w), w),
-        "trunk.b2": nm.Tensor(np.zeros(w), requires_grad=True),
-        "head.w": nm.Tensor(np.zeros((w, out_dim)), requires_grad=True),
-        "head.b": nm.Tensor(np.zeros(out_dim), requires_grad=True),
-    }
-    return ImplicitParams(cfg, tensors)
-
-
 # -- Fourier features ---------------------------------------------------------------------
 
 
@@ -205,25 +169,3 @@ def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
         alpha.append(nm.exp(pre))
         phi.append(out[:, (2 * k + 1) * d : (2 * k + 2) * d])
     return ConditionerOutput(alpha_pre, alpha, phi)
-
-
-def tile_single_neighbor(
-    amap_flat: nm.Tensor,
-    fmap_flat: nm.Tensor,
-    phases: nm.Tensor,
-    x_q: np.ndarray,
-    indices: np.ndarray,
-    coords: np.ndarray,
-    weights: np.ndarray,
-    lattice_width: int,
-    neighbor: int,
-    weighting: str = WEIGHTING_FULL,
-) -> nm.Tensor:
-    """kappa as if `neighbor` (0..3) were the whole neighborhood: every slot
-    carries that neighbor's features (computed with its own relative
-    coordinate), slot weights kept. Used by the four-pass comparison path."""
-    rep = np.repeat(indices[:, neighbor : neighbor + 1, :], 4, axis=1)
-    repc = np.repeat(coords[:, neighbor : neighbor + 1, :], 4, axis=1)
-    return ensemble_features(
-        amap_flat, fmap_flat, phases, x_q, rep, repc, weights, lattice_width, weighting
-    )

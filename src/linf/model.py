@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import encode_batch, init_encoder_params
+from .encoder import KERNEL, encode_batch
 from .errors import ConfigError
 from .imaging import Image
-from .implicit import WEIGHTING_FULL, WEIGHTING_NONE, ImplicitParams, init_implicit_params
-from .flow import FlowModel
+from .implicit import WEIGHTING_FULL, WEIGHTING_NONE, ImplicitParams
+from .flow import FlowModel, LinearFlowLayer, identity_jitter
 
 LAYER_ORDER = "linear_first"  # within each pair: linear map, then injector
+
+INIT_HE = "he"  # N(0, 2 / fan_in), fan_in = prod(shape[:-1])
+INIT_FLOW = "flow"  # flow.identity_jitter with cfg.flow_init_std
+INIT_ZERO = "zero"
 
 
 @dataclass
@@ -65,36 +70,82 @@ class ModelConfig:
         return cls(**d)
 
 
-class Model:
-    """Parameter container with the three stages wired together."""
+def param_layout(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Name -> (shape, init rule) of every parameter of the generator.
 
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        encoder_params: dict[str, nm.Tensor],
-        implicit_params: ImplicitParams,
-        flow: FlowModel,
-    ):
+    The order is `Model.parameters()` order, which is also the checkpoint
+    record order and the order in which `Model.create` draws. Allocates
+    nothing, so a checkpoint's records can be checked against its header's
+    config before any tensor is built. Every weight is followed by its
+    bias, shaped like the weight's last axis and starting at zero.
+    """
+    c, k, w, d = cfg.encoder_channels, cfg.frequencies, cfg.trunk_width, cfg.patch_dim
+
+    def conv(cin: int, cout: int) -> tuple[int, ...]:
+        return (KERNEL, KERNEL, cin, cout)
+
+    weights = [("encoder.head.w", conv(3, c), INIT_HE)]
+    for i in range(cfg.encoder_blocks):
+        weights += [(f"encoder.block{i}.w{j}", conv(c, c), INIT_HE) for j in (1, 2)]
+    weights += [
+        ("encoder.tail.w", conv(c, c), INIT_HE),
+        ("implicit.amp.w", conv(c, 2 * k), INIT_HE),
+        ("implicit.freq.w", conv(c, 2 * k), INIT_HE),
+        ("implicit.phase.w1", (1, cfg.phase_hidden), INIT_HE),
+        ("implicit.phase.w2", (cfg.phase_hidden, k), INIT_HE),
+        ("implicit.trunk.w1", (8 * k, w), INIT_HE),
+        ("implicit.trunk.w2", (w, w), INIT_HE),
+        # a zero output head makes a fresh model the identity injector
+        # (alpha=1, phi=0) for every query
+        ("implicit.head.w", (w, 2 * cfg.flow_layers * d), INIT_ZERO),
+    ]
+    weights += [(f"flow.{i}.w", (d, d), INIT_FLOW) for i in range(cfg.flow_layers)]
+    layout = {}
+    for name, shape, init in weights:
+        layout[name] = (shape, init)
+        layout[name.replace(".w", ".b")] = ((shape[-1],), INIT_ZERO)
+    return layout
+
+
+def _section(params: dict[str, nm.Tensor], prefix: str) -> dict[str, nm.Tensor]:
+    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+
+
+class Model:
+    """The three stages wired together over one ordered parameter dict.
+
+    `params` holds every tensor of `param_layout(cfg)` under its layout
+    name; the encoder, conditioner and flow read the same tensor objects.
+    """
+
+    def __init__(self, cfg: ModelConfig, params: dict[str, nm.Tensor]):
         self.cfg = cfg
-        self.encoder_params = encoder_params
-        self.implicit_params = implicit_params
-        self.flow = flow
+        self._params = params
+        self.encoder_params = _section(params, "encoder.")
+        self.implicit_params = ImplicitParams(cfg, _section(params, "implicit."))
+        self.flow = FlowModel(
+            [LinearFlowLayer(params[f"flow.{i}.w"], params[f"flow.{i}.b"])
+             for i in range(cfg.flow_layers)],
+            cfg.patch_side,
+        )
 
     @classmethod
     def create(cls, cfg: ModelConfig, seed: int = 0) -> "Model":
+        """Fresh parameters, drawn from one generator in layout order."""
         rng = np.random.default_rng(seed)
-        enc = init_encoder_params(cfg, rng)
-        imp = init_implicit_params(cfg, rng)
-        flow = FlowModel.create(
-            cfg.patch_side, cfg.flow_layers, rng=rng, init_std=cfg.flow_init_std
-        )
-        return cls(cfg, enc, imp, flow)
+        params = {}
+        for name, (shape, init) in param_layout(cfg).items():
+            if init == INIT_HE:
+                data = rng.normal(size=shape) * np.sqrt(2.0 / math.prod(shape[:-1]))
+            elif init == INIT_FLOW:
+                data = identity_jitter(rng, shape[0], cfg.flow_init_std)
+            else:
+                data = np.zeros(shape)
+            params[name] = nm.Tensor(data, requires_grad=True)
+        return cls(cfg, params)
 
     def parameters(self) -> dict[str, nm.Tensor]:
-        out = {f"encoder.{k}": v for k, v in self.encoder_params.items()}
-        out.update({f"implicit.{k}": v for k, v in self.implicit_params.t.items()})
-        out.update(self.flow.parameters())
-        return out
+        return dict(self._params)
 
     def encode(self, img: Image) -> nm.Tensor:
         """Feature map [H, W, C] of one image, extents matching the image."""

@@ -9,22 +9,14 @@ replays it in reverse.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ..errors import NonFiniteError, ShapeError, UsageError
+from ..errors import ShapeError, UsageError
 from .linalg import LuFactors, lu_factor
 
 _state = threading.local()
-
-_checked = False
-
-
-def set_checked(flag: bool) -> None:
-    """Toggle finite-value validation of every created tensor."""
-    global _checked
-    _checked = bool(flag)
 
 
 def _tape_stack() -> list:
@@ -44,10 +36,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_version")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if _checked and not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tensor holds NaN or Inf values")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
@@ -68,9 +57,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -80,8 +66,6 @@ class Tensor:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != self.data.shape:
             raise ShapeError(f"assign_ shape {values.shape} != {self.data.shape}")
-        if _checked and not np.all(np.isfinite(values)):
-            raise NonFiniteError("assign_ with NaN or Inf values")
         self.data = values.copy()
         self._version += 1
 
@@ -89,56 +73,15 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # -- operators ------------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_scalar(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+    # -- indexing and reshaping ------------------------------------------------
 
     def __getitem__(self, key):
         return getitem(self, key)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 class GradTape:
@@ -195,11 +138,6 @@ class GradTape:
         # whatever is left belongs to leaves (tensors not produced on this tape)
         for tensor, g in pending.values():
             tensor.grad = g if tensor.grad is None else tensor.grad + g
-
-
-def backward(loss: Tensor, tape: GradTape) -> None:
-    """Run the reverse sweep of `tape` from the scalar `loss`."""
-    tape.backward(loss)
 
 
 # -- helpers -------------------------------------------------------------------
@@ -288,41 +226,10 @@ def neg(a) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
-def pow_scalar(a, p: float) -> Tensor:
-    a = _as_tensor(a)
-    p = float(p)
-    return _make(
-        a.data ** p,
-        (a,),
-        lambda g: (g * p * a.data ** (p - 1.0),),
-    )
-
-
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.exp(a.data)
     return _make(out_data, (a,), lambda g: (g * out_data,))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.sqrt(a.data)
-    return _make(out_data, (a,), lambda g: (g * 0.5 / out_data,))
-
-
-def cos(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make(np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),))
-
-
-def sin(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),))
 
 
 def absolute(a) -> Tensor:
@@ -351,7 +258,8 @@ def relu(a) -> Tensor:
 def cos_sin(a) -> Tensor:
     """[cos a | sin a] along the last axis, written into one buffer.
 
-    Same values and gradient as concat([cos(a), sin(a)], axis=-1)."""
+    Same values and gradient as concat([cos(a), sin(a)], axis=-1), the op
+    chain kept in tests/oracles.py."""
     a = _as_tensor(a)
     k = a.shape[-1]
     out = np.empty(a.shape[:-1] + (2 * k,))
@@ -422,20 +330,6 @@ def transpose(a) -> Tensor:
 def reshape(a, shape: tuple) -> Tensor:
     a = _as_tensor(a)
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    extents = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + extents)
-
-    def bwd(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(parts))
-        )
-
-    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
 
 def getitem(a, key) -> Tensor:

@@ -23,7 +23,6 @@ from .implicit import (
     ensemble_features,
     neighborhood_geometry,
     phase_vector,
-    tile_single_neighbor,
 )
 from .model import Model
 
@@ -96,12 +95,6 @@ class PatchGrid:
         cx = (2.0 * n * np.arange(self.cols) + n) / sw - 1.0
         grid = np.stack(np.meshgrid(cy, cx, indexing="ij"), axis=-1)
         return grid.reshape(-1, 2)
-
-    def crop(self, i: int, j: int) -> tuple[int, int, int, int]:
-        """(row_start, row_stop, col_start, col_stop) of patch (i, j) in the raster."""
-        r0 = i * self.n
-        c0 = j * self.n
-        return r0, min(r0 + self.n, self.target_height), c0, min(c0 + self.n, self.target_width)
 
 
 def build_grid(spec: ScaleSpec, n: int) -> PatchGrid:
@@ -206,8 +199,13 @@ def generate_texture_patches(
     if ensemble == ENSEMBLE_LOCAL:
         out = np.zeros((q, model.cfg.patch_dim))
         for nb in range(4):
-            kappa_nb = tile_single_neighbor(
-                amap_flat, fmap_flat, phases, centers, indices, coords, weights, w, nb, weighting
+            # as if neighbour nb were the whole neighbourhood: every slot
+            # carries its features (with its own relative coordinate)
+            kappa_nb = ensemble_features(
+                amap_flat, fmap_flat, phases, centers,
+                np.repeat(indices[:, nb : nb + 1], 4, axis=1),
+                np.repeat(coords[:, nb : nb + 1], 4, axis=1),
+                weights, w, weighting,
             )
             cond_nb = conditioner(kappa_nb, params)
             out += weights[:, nb : nb + 1] * model.flow.inverse(nm.tensor(z), cond_nb).data

@@ -24,7 +24,7 @@ from .encoder import encode_batch
 from .errors import ConfigError, SingularMatrixError, TrainingError
 from .imaging import Image, bicubic_resample
 from .implicit import conditioner, bank_maps, ensemble_features, neighborhood_geometry, phase_vector
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, param_layout
 from .pipeline import PatchGrid, extract_targets, round_half_up
 
 logger = logging.getLogger("linf.training")
@@ -492,12 +492,15 @@ def load_checkpoint(path: str) -> Checkpoint:
         step, epoch, adam_t = (int(header[k]) for k in ("step", "epoch", "adam_t"))
         rng_state = header["rng_state"]
         np.random.default_rng(0).bit_generator.state = rng_state  # validates it
-        model = Model.create(model_cfg, seed=0)
+        # every encoder block and flow layer has records of its own; this bounds
+        # the length of the layout listed below by the file's size
+        if model_cfg.encoder_blocks + model_cfg.flow_layers > len(tensors):
+            raise ConfigError("more encoder blocks and flow layers than records")
+        shapes = {name: shape for name, (shape, _) in param_layout(model_cfg).items()}
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad checkpoint header: {exc!r} (byte offset {header_start})") from exc
 
-    params = model.parameters()
-    shapes = {name: p.shape for name, p in params.items()}
+    # every record is checked against the header's layout before anything is built
     expected = dict(shapes)
     for prefix in ("adam.m.", "adam.v."):
         if any(name.startswith(prefix) for name in tensors):  # optimizer state is all or none
@@ -510,10 +513,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         if tensors[name].shape != expected[name]:
             raise ConfigError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                               f"config wants {expected[name]}")
-    for name, p in params.items():
-        p.assign_(tensors[name])
-    adam_m = {k: tensors[f"adam.m.{k}"] for k in params if f"adam.m.{k}" in tensors}
-    adam_v = {k: tensors[f"adam.v.{k}"] for k in params if f"adam.v.{k}" in tensors}
+    model = Model(model_cfg, {name: nm.Tensor(tensors[name], requires_grad=True) for name in shapes})
+    adam_m = {k: tensors[f"adam.m.{k}"] for k in shapes if f"adam.m.{k}" in tensors}
+    adam_v = {k: tensors[f"adam.v.{k}"] for k in shapes if f"adam.v.{k}" in tensors}
     return Checkpoint(
         model=model,
         train_cfg=train_cfg,

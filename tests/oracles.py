@@ -1,15 +1,19 @@
-"""Single-query reference path of the local implicit conditioner.
+"""Reference paths that the package's fused or batched code is tested against.
 
-The package only runs the batched path (`implicit.ensemble_features` over
-flattened bank maps). These functions compute the same quantities one query
-at a time, from a feature map tensor [H, W, C], so tests can compare the two.
+The package only runs the batched path of the local implicit conditioner
+(`implicit.ensemble_features` over flattened bank maps). The functions below
+compute the same quantities one query at a time, from a feature map tensor
+[H, W, C], so tests can compare the two. `cos`, `sin` and `concat` are the
+taped op chain that the fused `numerics.cos_sin` replaces.
 """
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from linf import numerics as nm
+from linf.numerics.tensor import Tensor, _as_tensor, _make
 from linf.implicit import (
     ImplicitParams,
     bank_maps,
@@ -17,6 +21,28 @@ from linf.implicit import (
     neighborhood_geometry,
     phase_vector,
 )
+
+
+def cos(a) -> Tensor:
+    a = _as_tensor(a)
+    return _make(np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),))
+
+
+def sin(a) -> Tensor:
+    a = _as_tensor(a)
+    return _make(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),))
+
+
+def concat(parts: Sequence, axis: int = 0) -> Tensor:
+    parts = [_as_tensor(p) for p in parts]
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+
+    def bwd(g):
+        return tuple(
+            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis) for i in range(len(parts))
+        )
+
+    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
 
 @dataclass
@@ -102,7 +128,7 @@ def fourier_features(bank: FourierBank, delta: np.ndarray) -> nm.Tensor:
     theta = nm.add(
         nm.mul(np.pi, nm.tsum(nm.mul(bank.frequencies, delta_t), axis=1)), bank.phases
     )
-    return nm.mul(bank.amplitudes, nm.concat([nm.cos(theta), nm.sin(theta)], axis=0))
+    return nm.mul(bank.amplitudes, concat([cos(theta), sin(theta)], axis=0))
 
 
 def fourier_feature_ensemble(

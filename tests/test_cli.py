@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linf.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, default_tau, main
+from linf.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, default_tau, main
 from linf.config import DataConfig, build_configs, load_config, parse_config_text
 from linf.corpus import toy_corpus
 from linf.errors import ConfigError
@@ -258,19 +258,57 @@ class TestSrCommand:
                          "--tau", "0", "--out", str(tmp_path / name)]) == EXIT_OK
         assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
 
-    @pytest.mark.parametrize("damage", ["truncated", "missing"])
+    @pytest.mark.parametrize("damage", ["truncated", "missing", "oversized"])
     def test_bad_checkpoint_exit2(self, micro_checkpoint, tmp_path, capsys, damage):
         inp = self._write_input(tmp_path)
         model = tmp_path / "damaged.linf"
         if damage == "truncated":
             blob = open(micro_checkpoint, "rb").read()
             model.write_bytes(blob[: len(blob) // 2])
+        elif damage == "oversized":  # header asks for a 728 TiB trunk
+            micro = Model.create(micro_config(), seed=0)
+            micro.cfg = micro_config(trunk_width=10**7)
+            save_checkpoint(str(model), micro, TrainConfig(), 0, 0, np.random.default_rng(0))
         code = main(["sr", inp, "--model", str(model), "--scale", "2",
                      "--out", str(tmp_path / "o.ppm")])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "damaged.linf" in err
         assert not (tmp_path / "o.ppm").exists()
+
+    @pytest.mark.parametrize("case", ["missing-input", "directory-input", "missing-out-dir"])
+    def test_image_io_error_exit2(self, micro_checkpoint, tmp_path, capsys, case):
+        inp = self._write_input(tmp_path)
+        out = str(tmp_path / "o.ppm")
+        if case == "missing-input":
+            inp = str(tmp_path / "missing.ppm")
+        elif case == "directory-input":
+            inp = str(tmp_path)
+        else:
+            out = str(tmp_path / "nodir" / "o.ppm")
+        code = main(["sr", inp, "--model", micro_checkpoint, "--scale", "2", "--out", out])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and "Traceback" not in err
+
+    def test_fuzzed_ppm_input_exits_cleanly(self, micro_checkpoint, tmp_path, capsys):
+        # every truncation, and a seeded sample of single-bit flips, of a small PPM
+        blob = Path(self._write_input(tmp_path)).read_bytes()
+        path = tmp_path / "fuzz.ppm"
+
+        def run(data: bytes) -> int:
+            path.write_bytes(data)
+            return main(["sr", str(path), "--model", micro_checkpoint, "--scale", "1.5",
+                         "--tau", "0", "--out", str(tmp_path / "o.ppm")])
+
+        for cut in range(len(blob)):
+            assert run(blob[:cut]) in (EXIT_USAGE, EXIT_RUNTIME), cut
+        rng = np.random.default_rng(0)
+        for bit in rng.choice(8 * len(blob), size=150, replace=False):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << int(bit % 8)
+            assert run(bytes(flipped)) in (EXIT_OK, EXIT_USAGE, EXIT_RUNTIME), bit
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_weighting_override_in_banner(self, micro_checkpoint, tmp_path, capsys):
         inp = self._write_input(tmp_path)
@@ -355,6 +393,15 @@ class TestMetricsCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[-2] == "image_id,scale,tau,psnr_y,psnr_rgb,ssim,diversity"
         assert out[-1].startswith("ref,2,0.5,")
+
+
+    def test_missing_ref_exit2(self, tmp_path, capsys):
+        test = tmp_path / "t.ppm"
+        write_image(Image(np.full((12, 12, 3), 0.5)), str(test))
+        code = main(["metrics", "--ref", str(tmp_path / "missing.ppm"), "--test", str(test)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read image") and "missing.ppm" in err
 
 
 class TestVerifyCommand:

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from linf import numerics as nm
-from linf.encoder import encode_batch, init_encoder_params
+from linf.encoder import encode_batch
 from linf.errors import ConfigError
 from linf.imaging import Image
-from linf.model import ModelConfig
+from linf.model import Model, ModelConfig
 
 from .test_tensor import numeric_grad, rel
 
 
 def small_cfg(**overrides):
     return ModelConfig(**{"encoder_channels": 8, "encoder_blocks": 2, **overrides})
+
+
+def encoder_params(cfg, seed):
+    return Model.create(cfg, seed=seed).encoder_params
 
 
 def encode(img, cfg, params):
@@ -23,7 +27,7 @@ def encode(img, cfg, params):
 class TestEncode:
     def test_zero_params_zero_output(self):
         cfg = small_cfg()
-        params = init_encoder_params(cfg, np.random.default_rng(0))
+        params = encoder_params(cfg, 0)
         for t in params.values():
             t.assign_(np.zeros_like(t.data))
         img = Image(np.random.default_rng(1).random((6, 5, 3)))
@@ -32,7 +36,7 @@ class TestEncode:
 
     def test_extents_preserved_random_sizes(self):
         cfg = small_cfg()
-        params = init_encoder_params(cfg, np.random.default_rng(2))
+        params = encoder_params(cfg, 2)
         rng = np.random.default_rng(3)
         for _ in range(12):
             h, w = int(rng.integers(1, 33)), int(rng.integers(1, 33))
@@ -41,25 +45,15 @@ class TestEncode:
 
     def test_deterministic(self):
         cfg = small_cfg()
-        params = init_encoder_params(cfg, np.random.default_rng(4))
+        params = encoder_params(cfg, 4)
         img = Image(np.random.default_rng(5).random((7, 7, 3)))
         a = encode(img, cfg, params).data
         b = encode(img, cfg, params).data
         np.testing.assert_array_equal(a, b)
 
-    def test_param_config_mismatch(self):
-        cfg = small_cfg()
-        params = init_encoder_params(cfg, np.random.default_rng(6))
-        with pytest.raises(ConfigError):
-            encode(
-                Image(np.zeros((4, 4, 3))),
-                small_cfg(encoder_channels=16),
-                params,
-            )
-
     def test_head_kernel_gradient_vs_fd(self):
         cfg = small_cfg()
-        params = init_encoder_params(cfg, np.random.default_rng(7))
+        params = encoder_params(cfg, 7)
         img = Image(np.random.default_rng(8).random((5, 4, 3)))
         readout = np.random.default_rng(9).normal(size=(5, 4, cfg.encoder_channels))
 

@@ -21,6 +21,12 @@ from linf.pipeline import (
 from .helpers import micro_model
 
 
+def crop(grid, i, j):
+    """(row_start, row_stop, col_start, col_stop) of patch (i, j) in the raster."""
+    r0, c0 = i * grid.n, j * grid.n
+    return r0, min(r0 + grid.n, grid.target_height), c0, min(c0 + grid.n, grid.target_width)
+
+
 def naive_reassemble(patches, grid):
     """Per-patch loop oracle for reassemble."""
     out = np.empty((grid.target_height, grid.target_width, 3))
@@ -28,7 +34,7 @@ def naive_reassemble(patches, grid):
     for i in range(grid.rows):
         for j in range(grid.cols):
             block = patches[i * grid.cols + j].reshape(n, n, 3)
-            r0, r1, c0, c1 = grid.crop(i, j)
+            r0, r1, c0, c1 = crop(grid, i, j)
             out[r0:r1, c0:c1] = block[: r1 - r0, : c1 - c0]
     return out
 
@@ -38,7 +44,7 @@ def naive_coverage_mask(grid):
     mask = np.zeros((grid.target_height, grid.target_width), dtype=int)
     for i in range(grid.rows):
         for j in range(grid.cols):
-            r0, r1, c0, c1 = grid.crop(i, j)
+            r0, r1, c0, c1 = crop(grid, i, j)
             mask[r0:r1, c0:c1] += 1
     return mask
 
@@ -69,7 +75,7 @@ class TestBuildGrid:
         grid = PatchGrid = build_grid(ScaleSpec(97 / 24, 24, 24), 3)  # sH = 97
         assert grid.target_height == 97
         assert grid.rows == 33
-        r0, r1, _, _ = grid.crop(32, 0)
+        r0, r1, _, _ = crop(grid, 32, 0)
         assert r1 - r0 == 1  # last row crops to height 1
 
     def test_pixel_mode(self):

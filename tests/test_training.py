@@ -289,6 +289,20 @@ class TestCheckpointIO:
         with pytest.raises(ConfigError, match="shape"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("override,message", [
+        ({"encoder_channels": 16}, "tensor 'encoder.block0.b1' has shape"),
+        ({"encoder_blocks": 2}, "missing tensor encoder.block1.b1"),
+        ({"trunk_width": 10**7}, "tensor 'implicit.head.w' has shape"),  # 728 TiB if built
+        ({"flow_layers": 10**9}, "more encoder blocks and flow layers than records"),
+    ])
+    def test_header_config_checked_before_allocation(self, tmp_path, override, message):
+        model = Model.create(micro_config(), seed=0)
+        model.cfg = micro_config(**override)
+        path = str(tmp_path / "m.linf")
+        save_checkpoint(path, model, tiny_train_cfg(), 0, 0, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=message):
+            load_checkpoint(path)
+
     def test_fuzzed_checkpoints_load_or_raise_config_error(self, tmp_path):
         blob = open(_trained_checkpoint(tmp_path), "rb").read()
         header_end, boundaries, data_spans = _layout(blob)
