@@ -18,14 +18,16 @@ import argparse
 import glob
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DataConfig, load_config
 from .corpus import toy_corpus
 from .errors import ConfigError, LinfError, TrainingError, UsageError
-from .imaging import Image, MetricReport, bicubic_resample, diversity, psnr, read_image, ssim, write_image
+from .imaging import (
+    Image, MetricReport, bicubic_resample, check_writable, diversity, psnr, read_image, ssim,
+    write_image,
+)
 from .pipeline import ENSEMBLE_FOURIER, ENSEMBLE_LOCAL, ScaleSpec, build_grid, super_resolve
 from .training import load_checkpoint, train
 from .verify import LEVEL_FAST, LEVEL_FULL, run_suite
@@ -46,22 +48,9 @@ def default_tau(scale: float) -> float:
     return 0.2
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved options for one command, echoed as the run banner."""
-
-    command: str
-    options: dict
-
-    def banner(self) -> str:
-        lines = [f"linf {self.command}"]
-        for key in sorted(self.options):
-            lines.append(f"  {key} = {self.options[key]}")
-        return "\n".join(lines)
-
-
 def _print_banner(command: str, options: dict) -> None:
-    print(RunConfig(command, options).banner())
+    """Echo a command's fully resolved options."""
+    print("\n".join([f"linf {command}"] + [f"  {k} = {options[k]}" for k in sorted(options)]))
 
 
 def _load_corpus(data_cfg: DataConfig) -> list[Image]:
@@ -101,6 +90,7 @@ def cmd_train(args) -> int:
 
 def cmd_sr(args) -> int:
     tau = args.tau if args.tau is not None else default_tau(args.scale)
+    check_writable(args.out)  # before the model is loaded and the image computed
     ckpt = load_checkpoint(args.model)
     model = ckpt.model
     if args.weighting is not None:

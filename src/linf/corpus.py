@@ -13,7 +13,6 @@ from .imaging import Image
 from .imaging import _bilinear_axis  # align-centers 1-D kernel, reused for noise octaves
 
 TRAIN_SEED = 1234
-HOLDOUT_SEED = 5678
 
 
 def _smooth_noise(rng: np.random.Generator, size: int, cells: int) -> np.ndarray:
@@ -75,6 +74,3 @@ def toy_corpus(count: int = 32, size: int = 96, seed: int = TRAIN_SEED) -> list[
     rng = np.random.default_rng(seed)
     return [Image(np.clip(_FAMILIES[i % 4](rng, size), 0.0, 1.0)) for i in range(count)]
 
-
-def holdout_corpus(count: int = 8, size: int = 96) -> list[Image]:
-    return toy_corpus(count, size, seed=HOLDOUT_SEED)

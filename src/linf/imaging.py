@@ -8,6 +8,7 @@ source-pixel units (y = (i+0.5)*src/tgt - 0.5).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -247,6 +248,19 @@ def write_image(img: Image, path: str) -> None:
         raise UsageError(f"cannot write image {path}: {exc.strerror or exc}") from exc
 
 
+def check_writable(path: str) -> None:
+    """Raise what write_image would raise for an unusable path before any
+    output exists: UsageError for a directory or a missing parent directory,
+    ImageFormatError for a PNG path without Pillow."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write image {path}: is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write image {path}: no directory {parent}")
+    if str(path).lower().endswith(".png"):
+        _pillow()
+
+
 def read_image(path: str) -> Image:
     """Read a PPM (P6) or, with Pillow, a PNG file.
 
@@ -308,20 +322,21 @@ def _parse_ppm(blob: bytes) -> Image:
     return Image(raw.reshape(height, width, 3).astype(np.float64) / 255.0)
 
 
-def _write_png(img: Image, path: str) -> None:
+def _pillow():
+    """Pillow's Image module; ImageFormatError when Pillow is not installed."""
     try:
         from PIL import Image as PilImage
-    except ImportError as exc:  # pragma: no cover
+    except ImportError as exc:
         raise ImageFormatError("PNG support requires Pillow (install extra 'png')") from exc
-    PilImage.fromarray(_to_bytes(img), mode="RGB").save(path, format="PNG")
+    return PilImage
+
+
+def _write_png(img: Image, path: str) -> None:
+    _pillow().fromarray(_to_bytes(img), mode="RGB").save(path, format="PNG")
 
 
 def _read_png(path: str) -> Image:
-    try:
-        from PIL import Image as PilImage
-    except ImportError as exc:  # pragma: no cover
-        raise ImageFormatError("PNG support requires Pillow (install extra 'png')") from exc
-    with PilImage.open(path) as im:
+    with _pillow().open(path) as im:
         if im.mode != "RGB":
             im = im.convert("RGB")
         arr = np.asarray(im, dtype=np.float64) / 255.0

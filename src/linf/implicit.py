@@ -5,7 +5,8 @@ shift parameters consumed by the flow, via per-neighbor Fourier features:
 amplitudes and frequencies come from two conv heads over the feature map,
 phases from a small MLP on the scalar cell size. The four nearest neighbors'
 features are bilinearly weighted and concatenated into one vector so the
-parameter-generating MLP and the flow run once per query.
+parameter-generating MLP and the flow run once per query. `condition` is the
+one path from queries to a condition, shared by training and `sr`.
 
 Neighbor order inside the concatenation is fixed: top-left, top-right,
 bottom-left, bottom-right, cos block before sin block within each neighbor.
@@ -126,8 +127,8 @@ def ensemble_features(
 
     amap_flat/fmap_flat are bank maps flattened to [H*W, 2K]; phases is [Q, K]
     (already expanded per query); indices/coords/weights come from
-    neighborhood_geometry. Bank maps of several images stacked along H read
-    as one taller lattice, with each image's row indices offset by its start.
+    neighborhood_geometry, with row indices offset for stacked lattices
+    (see condition).
     """
     q = indices.shape[0]
     k2 = amap_flat.shape[1]
@@ -169,3 +170,22 @@ def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
         alpha.append(nm.exp(pre))
         phi.append(out[:, (2 * k + 1) * d : (2 * k + 2) * d])
     return ConditionerOutput(alpha_pre, alpha, phi)
+
+
+def condition(
+    params: ImplicitParams, amap_flat: nm.Tensor, fmap_flat: nm.Tensor, lattice: tuple[int, int],
+    x_q: np.ndarray, phases: nm.Tensor, crop: np.ndarray | None = None,
+) -> ConditionerOutput:
+    """Condition for queries x_q [Q, 2] on an h x w lattice of bank maps.
+
+    amap_flat/fmap_flat are [H*W, 2K] flattened bank maps and phases is
+    [Q, K]. With `crop` [Q], the maps are B lattices stacked along H and
+    query i reads lattice crop[i], whose rows start at h * crop[i].
+    """
+    h, w = lattice
+    indices, coords, weights = neighborhood_geometry(h, w, x_q)
+    if crop is not None:
+        indices[:, :, 0] += h * crop[:, None]
+    kappa = ensemble_features(amap_flat, fmap_flat, phases, x_q, indices, coords, weights, w,
+                              params.cfg.ensemble_weighting)
+    return conditioner(kappa, params)

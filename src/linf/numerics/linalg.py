@@ -1,9 +1,9 @@
 """Partial-pivoting LU factorization for small dense matrices.
 
 Covers everything the flow layers need from their weight matrices: log|det|,
-determinant sign, row-wise solves (plain and transposed), and explicit
-inverses. Matrices here are tiny (D <= 27), so plain substitution loops with
-vectorized right-hand sides are the right tool.
+row-wise solves (plain and transposed), and explicit inverses. Matrices here
+are tiny (D <= 27), so plain substitution loops with vectorized right-hand
+sides are the right tool.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ PIVOT_TOL = 1e-12
 class LuFactors:
     """Combined L/U storage with pivot bookkeeping: A[perm] == L @ U."""
 
-    __slots__ = ("lu", "perm", "sign")
+    __slots__ = ("lu", "perm")
 
-    def __init__(self, lu: np.ndarray, perm: np.ndarray, sign: int):
+    def __init__(self, lu: np.ndarray, perm: np.ndarray):
         self.lu = lu
         self.perm = perm
-        self.sign = sign
 
     @property
     def d(self) -> int:
@@ -31,9 +30,6 @@ class LuFactors:
 
     def logabsdet(self) -> float:
         return float(np.sum(np.log(np.abs(np.diag(self.lu)))))
-
-    def det_sign(self) -> int:
-        return int(self.sign * np.prod(np.sign(np.diag(self.lu))))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for b of shape [D] or [D, nrhs]."""
@@ -86,7 +82,6 @@ def lu_factor(a: np.ndarray) -> LuFactors:
     d = a.shape[0]
     lu = a.copy()
     perm = np.arange(d)
-    sign = 1
     for k in range(d):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if abs(lu[p, k]) < PIVOT_TOL:
@@ -94,7 +89,6 @@ def lu_factor(a: np.ndarray) -> LuFactors:
         if p != k:
             lu[[k, p]] = lu[[p, k]]
             perm[[k, p]] = perm[[p, k]]
-            sign = -sign
         lu[k + 1 :, k] /= lu[k, k]
         lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return LuFactors(lu, perm, sign)
+    return LuFactors(lu, perm)

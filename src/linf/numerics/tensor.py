@@ -1,9 +1,10 @@
 """Dense float64 tensors with define-by-run reverse-mode differentiation.
 
 Gradients are recorded only while a :class:`GradTape` is active; outside a
-tape every operation is a plain numpy computation. The tape stores op outputs
-in creation order, which is already a valid topological order, so backward
-replays it in reverse.
+tape every operation is a plain numpy computation. The tape owns the graph:
+one (output, parents, backward) record per op, in creation order, which is
+already a valid topological order, so backward replays it in reverse and
+releases each record once the sweep has passed it.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ def active_tape() -> "GradTape | None":
 class Tensor:
     """N-dimensional float64 array, optionally participating in a tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_version")
+    __slots__ = ("data", "requires_grad", "grad", "_version")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
-        self._backward: Callable | None = None
         self._version = 0
 
     # -- shape / value access ------------------------------------------------
@@ -88,11 +87,13 @@ class GradTape:
     """Ordered record of taped operations; context manager.
 
     Creation order of op outputs is a topological order of the graph, so the
-    reverse sweep visits every node after all of its consumers.
+    reverse sweep visits every node after all of its consumers. Each record
+    is released as soon as the sweep has passed it, so a tape runs backward
+    once; the record count (len) stays as it was.
     """
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self._records: list[tuple[Tensor, tuple, Callable] | None] = []
 
     def __enter__(self) -> "GradTape":
         _tape_stack().append(self)
@@ -105,29 +106,30 @@ class GradTape:
         stack.pop()
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._records)
 
     def _record(self, out: Tensor, parents: tuple, backward_fn: Callable) -> None:
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
-        self._nodes.append(out)
+        self._records.append((out, parents, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad for every requires_grad tensor reachable from loss."""
+        """Set .grad on every leaf (a tensor not produced on this tape) that
+        loss depends on; taped intermediates keep no gradient."""
         if loss.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
+        records = self._records
+        if records and records[-1] is None:
+            raise UsageError("backward already ran on this tape and released its graph")
         pending: dict[int, tuple[Tensor, np.ndarray]] = {
             id(loss): (loss, np.ones_like(loss.data))
         }
-        for node in reversed(self._nodes):
-            entry = pending.pop(id(node), None)
+        for i in range(len(records) - 1, -1, -1):
+            out, parents, backward_fn = records[i]
+            records[i] = None
+            entry = pending.pop(id(out), None)
             if entry is None:
                 continue
-            _, g = entry
-            node.grad = g
-            grads = node._backward(g)
-            for parent, pg in zip(node._parents, grads):
+            for parent, pg in zip(parents, backward_fn(entry[1])):
                 if pg is None or not parent.requires_grad:
                     continue
                 prev = pending.get(id(parent))

@@ -20,6 +20,7 @@ from .imaging import Image, bilinear_upsample
 from .implicit import (
     conditioner,
     bank_maps,
+    condition,
     ensemble_features,
     neighborhood_geometry,
     phase_vector,
@@ -184,19 +185,15 @@ def generate_texture_patches(
     """Run conditioner + flow inverse for a block of queries; returns [Q, D].
 
     amap_flat/fmap_flat are the image's bank maps flattened to [H*W, 2K]."""
-    h, w = lr_shape
     params = model.implicit_params
-    indices, coords, weights = neighborhood_geometry(h, w, centers)
     q = centers.shape[0]
     phases = phase_vector(np.full(q, cell), params)
-    weighting = params.cfg.ensemble_weighting
     if ensemble == ENSEMBLE_FOURIER:
-        kappa = ensemble_features(
-            amap_flat, fmap_flat, phases, centers, indices, coords, weights, w, weighting
-        )
-        cond = conditioner(kappa, params)
+        cond = condition(params, amap_flat, fmap_flat, lr_shape, centers, phases)
         return model.flow.inverse(nm.tensor(z), cond).data
     if ensemble == ENSEMBLE_LOCAL:
+        h, w = lr_shape
+        indices, coords, weights = neighborhood_geometry(h, w, centers)
         out = np.zeros((q, model.cfg.patch_dim))
         for nb in range(4):
             # as if neighbour nb were the whole neighbourhood: every slot
@@ -205,7 +202,7 @@ def generate_texture_patches(
                 amap_flat, fmap_flat, phases, centers,
                 np.repeat(indices[:, nb : nb + 1], 4, axis=1),
                 np.repeat(coords[:, nb : nb + 1], 4, axis=1),
-                weights, w, weighting,
+                weights, w, params.cfg.ensemble_weighting,
             )
             cond_nb = conditioner(kappa_nb, params)
             out += weights[:, nb : nb + 1] * model.flow.inverse(nm.tensor(z), cond_nb).data
@@ -218,7 +215,6 @@ def super_resolve(
     s: float,
     tau: float,
     model: Model,
-    rng: np.random.Generator | None = None,
     ensemble: str = ENSEMBLE_FOURIER,
     chunk: int = 4096,
     seed: int | None = None,
@@ -226,14 +222,14 @@ def super_resolve(
     """Arbitrary-scale SR: one encode, h*w queries, bilinear base plus texture.
 
     tau=0 is fully deterministic. With tau>0 the latent block for all patches
-    is drawn up front (row-major patch order) from `rng` or a fresh generator
-    seeded with `seed`, so the latents do not depend on chunking or
-    evaluation order. The outputs can differ in their last bits between chunk
-    sizes, because BLAS picks its GEMM kernels by row count.
+    is drawn up front (row-major patch order) from a generator seeded with
+    `seed`, so the latents do not depend on chunking or evaluation order. The
+    outputs can differ in their last bits between chunk sizes, because BLAS
+    picks its GEMM kernels by row count.
 
     Per image: the encoder, the bank maps and their [H*W, 2K] flattening, the
-    patch centers and the latents. Per chunk of queries: neighbourhood
-    geometry, phases, ensemble features, conditioner and flow inverse.
+    patch centers and the latents. Per chunk of queries: phases, the
+    condition (`implicit.condition`) and the flow inverse.
     """
     spec = ScaleSpec(s, lr.height, lr.width)
     if not (math.isfinite(tau) and tau >= 0.0):
@@ -249,9 +245,7 @@ def super_resolve(
     if tau == 0.0:
         z_all = np.zeros((grid.num_patches, d))
     else:
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        z_all = tau * rng.standard_normal((grid.num_patches, d))
+        z_all = tau * np.random.default_rng(seed).standard_normal((grid.num_patches, d))
     patches = np.empty((grid.num_patches, d))
     for start in range(0, grid.num_patches, chunk):
         stop = min(start + chunk, grid.num_patches)

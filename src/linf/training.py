@@ -23,7 +23,7 @@ from . import numerics as nm
 from .encoder import encode_batch
 from .errors import ConfigError, SingularMatrixError, TrainingError
 from .imaging import Image, bicubic_resample
-from .implicit import conditioner, bank_maps, ensemble_features, neighborhood_geometry, phase_vector
+from .implicit import bank_maps, condition, phase_vector
 from .model import Model, ModelConfig, param_layout
 from .pipeline import PatchGrid, extract_targets, round_half_up
 
@@ -83,26 +83,23 @@ class TrainConfig:
 
 
 @dataclass
-class CropSample:
-    """One crop's query set, fully precomputed geometry included."""
+class Batch:
+    """One batch of crops: B LR crops and their N queries, stacked."""
 
-    lr_data: np.ndarray  # [lr, lr, 3]
-    scale: float
-    cell: float
-    coords: np.ndarray  # [Q, 2]
-    targets: np.ndarray  # [Q, D]
-    nb_indices: np.ndarray  # [Q, 4, 2]
-    nb_coords: np.ndarray  # [Q, 4, 2]
-    nb_weights: np.ndarray  # [Q, 4]
+    lr: np.ndarray  # [B, h, w, 3]
+    scales: np.ndarray  # [B]
+    crop: np.ndarray  # [N] crop of each query
+    coords: np.ndarray  # [N, 2]
+    targets: np.ndarray  # [N, D]
 
 
 def make_batch(
     corpus: list[Image], cfg: TrainConfig, rng: np.random.Generator, patch_side: int = 1
-) -> list[CropSample]:
+) -> Batch:
     """Assemble one batch of crops; undersized corpus images are skipped."""
-    samples: list[CropSample] = []
+    lrs, scales, coords, targets = [], [], [], []
     attempts = 0
-    while len(samples) < cfg.batch:
+    while len(lrs) < cfg.batch:
         attempts += 1
         if attempts > 20 * cfg.batch:
             raise TrainingError("corpus images too small for the configured crops")
@@ -125,64 +122,42 @@ def make_batch(
         targets_all = extract_targets(hr, lr, grid, rng=rng, dequant=cfg.dequant)
         q = min(cfg.pairs, grid.num_patches)
         picks = rng.choice(grid.num_patches, size=q, replace=False)
-        coords = grid.centers()[picks]
-        nb_indices, nb_coords, nb_weights = neighborhood_geometry(
-            cfg.lr_crop, cfg.lr_crop, coords
-        )
-        samples.append(
-            CropSample(
-                lr_data=lr.data,
-                scale=s,
-                cell=2.0 / s,
-                coords=coords,
-                targets=targets_all[picks],
-                nb_indices=nb_indices,
-                nb_coords=nb_coords,
-                nb_weights=nb_weights,
-            )
-        )
-    return samples
+        lrs.append(lr.data)
+        scales.append(s)
+        coords.append(grid.centers()[picks])
+        targets.append(targets_all[picks])
+    return Batch(
+        lr=np.stack(lrs),
+        scales=np.array(scales),
+        crop=np.repeat(np.arange(cfg.batch), [c.shape[0] for c in coords]),
+        coords=np.concatenate(coords),
+        targets=np.concatenate(targets),
+    )
 
 
 def loss_components(
-    batch: list[CropSample], model: Model, cfg: TrainConfig, extras: dict | None = None
+    batch: Batch, model: Model, cfg: TrainConfig, extras: dict | None = None
 ) -> tuple[nm.Tensor, float, float]:
     """(total loss tensor, nll value, l1 value) for one batch.
 
     `extras`, when given, receives diagnostics (currently the minimum |tau=0
     residual|, used by gradient audits to stay clear of the L1 kink)."""
-    b = len(batch)
-    h = w = cfg.lr_crop
+    b, h, w, _ = batch.lr.shape
     params = model.implicit_params
-    k2 = 2 * params.cfg.frequencies
-
-    stacked = nm.tensor(np.stack([s.lr_data for s in batch]))
-    fm = encode_batch(stacked, model.cfg, model.encoder_params)  # [B,h,w,C]
+    fm = encode_batch(nm.tensor(batch.lr), model.cfg, model.encoder_params)  # [B,h,w,C]
     amap, fmap = bank_maps(fm, params)
-    amap_flat = amap.reshape(b * h * w, k2)
-    fmap_flat = fmap.reshape(b * h * w, k2)
-
-    counts = [s.coords.shape[0] for s in batch]
-    crop_of_query = np.repeat(np.arange(b), counts)
-    coords = np.concatenate([s.coords for s in batch])
-    weights = np.concatenate([s.nb_weights for s in batch])
-    nb_coords = np.concatenate([s.nb_coords for s in batch])
     # the crops' lattices stacked vertically: crop i's rows start at i*h
-    nb_indices = np.concatenate([s.nb_indices + (i * h, 0) for i, s in enumerate(batch)])
-    targets = np.concatenate([s.targets for s in batch])
-
-    phases_per_crop = phase_vector(np.array([s.cell for s in batch]), params)  # [B,K]
-    phases = nm.index_rows(phases_per_crop, crop_of_query)  # [N,K]
-    kappa = ensemble_features(
-        amap_flat, fmap_flat, phases, coords, nb_indices, nb_coords, weights, w,
-        params.cfg.ensemble_weighting,
+    amap_flat, fmap_flat = amap.reshape(b * h * w, -1), fmap.reshape(b * h * w, -1)
+    phases_per_crop = phase_vector(2.0 / batch.scales, params)  # [B,K]
+    phases = nm.index_rows(phases_per_crop, batch.crop)  # [N,K]
+    cond = condition(
+        params, amap_flat, fmap_flat, (h, w), batch.coords, phases, batch.crop
     )
-
-    cond = conditioner(kappa, params)
+    targets = batch.targets
     log_prob = model.flow.log_prob(nm.tensor(targets), cond)
     if not np.all(np.isfinite(log_prob.data)):
         bad = int(np.flatnonzero(~np.isfinite(log_prob.data))[0])
-        raise TrainingError(f"non-finite log-likelihood at batch sample {crop_of_query[bad]}")
+        raise TrainingError(f"non-finite log-likelihood at batch sample {batch.crop[bad]}")
     nll = nm.neg(nm.tmean(log_prob))
     total = nm.mul(cfg.lambda_nll, nll)
     l1_value = 0.0
@@ -255,11 +230,19 @@ def train(
     training log is `train_log.csv` under out_dir. Replaying with the same
     seed and config is bit-exact, as is resuming from any checkpoint.
     Passing `model` starts from existing parameters (fine-tuning).
+
+    Resuming continues the checkpoint's model: a `model_cfg` that differs from
+    it is a ConfigError. A `cfg` replaces the checkpoint's training config;
+    the continuation is exact when the two differ in `steps` only.
     """
     if resume:
         ckpt = load_checkpoint(resume)
         if not ckpt.adam_m:
             raise ConfigError(f"{resume}: no optimizer state to resume from")
+        if model_cfg is not None and model_cfg != ckpt.model.cfg:
+            given, saved = model_cfg.to_dict(), ckpt.model.cfg.to_dict()
+            raise ConfigError(f"{resume}: model config differs from the checkpoint's in " + ", ".join(
+                f"{k} ({given[k]!r} vs {saved[k]!r})" for k in saved if given[k] != saved[k]))
         model = ckpt.model
         cfg = ckpt.train_cfg if cfg is None else cfg
         rng = np.random.default_rng()

@@ -28,8 +28,6 @@ from .numerics import finite_diff_jacobian, lu_factor
 from .pipeline import ENSEMBLE_LOCAL, ScaleSpec, build_grid, coverage_mask, super_resolve
 from .training import TrainConfig, loss_components, make_batch
 
-FD_STEP = 1e-5
-
 
 @dataclass
 class VerifyCheck:
@@ -94,7 +92,7 @@ def check_logdet_vs_numeric_jacobian() -> tuple[bool, str]:
             def f(x):
                 return flow.forward(nm.tensor(x.reshape(1, -1)), cond)[0].data[0]
 
-            numeric = lu_factor(finite_diff_jacobian(f, m.reshape(-1), step=FD_STEP)).logabsdet()
+            numeric = lu_factor(finite_diff_jacobian(f, m.reshape(-1))).logabsdet()
             rel = abs(lds[-1] - numeric) / max(abs(numeric), 1e-12)
             ok &= rel <= 1e-4
             details.append(f"D={flow.d} rel {rel:.2e}")
@@ -201,7 +199,7 @@ def check_gradient_audit(full: bool) -> tuple[bool, str]:
     worst_name, worst = "", 0.0
     for name, p in model.parameters().items():
         if full:
-            fd = nm.finite_diff_grad(f, p.data, step=FD_STEP)
+            fd = nm.finite_diff_grad(f, p.data)
             rel = nm.grad_rel_error(analytic[name], fd)
         else:
             u = rng.normal(size=p.data.shape)
@@ -209,12 +207,12 @@ def check_gradient_audit(full: bool) -> tuple[bool, str]:
             flat = p.data.reshape(-1)
             uflat = u.reshape(-1)
             saved = flat.copy()
-            flat += FD_STEP * uflat
+            flat += nm.FD_STEP * uflat
             fp = f()
-            flat[:] = saved - FD_STEP * uflat
+            flat[:] = saved - nm.FD_STEP * uflat
             fm = f()
             flat[:] = saved
-            directional_fd = (fp - fm) / (2 * FD_STEP)
+            directional_fd = (fp - fm) / (2 * nm.FD_STEP)
             directional_an = float((analytic[name] * u).sum())
             rel = abs(directional_an - directional_fd) / max(abs(directional_fd), 1e-10)
         if rel > worst:

@@ -1,11 +1,13 @@
 """CLI exit codes, banners, and CSV schemas (all in-process via main())."""
 
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from linf import cli
 from linf.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, default_tau, main
 from linf.config import DataConfig, build_configs, load_config, parse_config_text
 from linf.corpus import toy_corpus
@@ -206,6 +208,18 @@ class TestTrainCommand:
         assert "seed = 0" in banner  # resolved config echoed
         assert "train.steps = 4" in banner
 
+    def test_resume_with_another_model_config_exit2(self, smoke_config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", smoke_config_path, "--out", str(out)]) == EXIT_OK
+        ckpt = str(out / "ckpt_epoch001.linf")
+        other = tmp_path / "other.cfg"
+        other.write_text(SMOKE_CONFIG.replace("trunk_width = 16", "trunk_width = 24"))
+        code = main(["train", "--config", str(other), "--out", str(out), "--resume", ckpt])
+        assert code == EXIT_USAGE
+        assert "trunk_width (24 vs 16)" in capsys.readouterr().err
+        code = main(["train", "--config", smoke_config_path, "--out", str(out), "--resume", ckpt])
+        assert code == EXIT_OK
+
     def test_same_seed_identical_checkpoints(self, smoke_config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["train", "--config", smoke_config_path, "--out", str(out_a)]) == EXIT_OK
@@ -290,6 +304,28 @@ class TestSrCommand:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: cannot ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["missing-out-dir", "directory-out", "png-without-pillow"])
+    def test_unwritable_out_fails_before_loading(
+        self, micro_checkpoint, tmp_path, capsys, monkeypatch, case
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called before --out was checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_run)
+        monkeypatch.setattr(cli, "super_resolve", must_not_run)
+        inp = self._write_input(tmp_path)
+        out, expected = {
+            "missing-out-dir": (tmp_path / "nodir" / "o.ppm", EXIT_USAGE),
+            "directory-out": (tmp_path, EXIT_USAGE),
+            "png-without-pillow": (tmp_path / "o.png", EXIT_RUNTIME),
+        }[case]
+        if case == "png-without-pillow":
+            monkeypatch.setitem(sys.modules, "PIL", None)  # import fails as without Pillow
+        code = main(["sr", inp, "--model", micro_checkpoint, "--scale", "2", "--out", str(out)])
+        assert code == expected
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_fuzzed_ppm_input_exits_cleanly(self, micro_checkpoint, tmp_path, capsys):
         # every truncation, and a seeded sample of single-bit flips, of a small PPM

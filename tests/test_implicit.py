@@ -302,6 +302,35 @@ class TestFourierFeatureEnsemble:
         assert not np.allclose(kappa, kappa_perm)
 
 
+class TestCondition:
+    def test_stacked_lattices_match_single_lattice_calls(self):
+        """B lattices stacked along H, each query offset to its own crop's
+        rows, condition like B separate single-lattice calls."""
+        model = micro_model(seed=12)
+        p = model.implicit_params
+        rng = np.random.default_rng(57)
+        p.t["head.w"].assign_(rng.normal(size=p["head.w"].shape) * 0.05)
+        h, w, k2 = 5, 6, 2 * p.cfg.frequencies
+        amap, fmap = implicit.bank_maps(nm.tensor(rng.normal(size=(3, h, w, 8))), p)
+        crop = np.repeat(np.arange(3), [7, 4, 9])
+        x_q = rng.uniform(-1.0, 1.0, size=(crop.size, 2))
+        phases = implicit.phase_vector(rng.uniform(0.2, 2.0, size=crop.size), p)
+        stacked = implicit.condition(
+            p, amap.reshape(3 * h * w, k2), fmap.reshape(3 * h * w, k2), (h, w), x_q,
+            phases, crop,
+        )
+        for b in range(3):
+            rows = crop == b
+            single = implicit.condition(
+                p, nm.tensor(amap.data[b].reshape(h * w, k2)),
+                nm.tensor(fmap.data[b].reshape(h * w, k2)), (h, w), x_q[rows],
+                nm.tensor(phases.data[rows]),
+            )
+            for part in ("alpha_pre", "alpha", "phi"):
+                for got, want in zip(getattr(stacked, part), getattr(single, part)):
+                    np.testing.assert_allclose(got.data[rows], want.data, rtol=0, atol=1e-12)
+
+
 class TestConditioner:
     def test_zero_head_identity_injector(self):
         model = micro_model(seed=9)

@@ -155,8 +155,29 @@ class TestBackward:
 
     def test_no_tape_records_nothing(self):
         x = nm.Tensor(2.0, requires_grad=True)
-        y = nm.mul(x, x)
-        assert y._backward is None and not y.requires_grad
+        with nm.GradTape() as tape:
+            nm.mul(x, x)
+        y = nm.mul(x, x)  # no tape active
+        assert len(tape) == 1 and not y.requires_grad
+
+    def test_only_leaves_keep_grad(self):
+        x = nm.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with nm.GradTape() as tape:
+            y = nm.mul(x, x)
+            loss = nm.tsum(y)
+        tape.backward(loss)
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert len(tape) == 2  # the records are released, not removed
+
+    def test_second_backward_rejected(self):
+        x = nm.Tensor(3.0, requires_grad=True)
+        with nm.GradTape() as tape:
+            loss = nm.mul(x, x)
+        tape.backward(loss)
+        with pytest.raises(UsageError, match="already ran"):
+            tape.backward(loss)
+        assert x.grad == pytest.approx(6.0)
 
 
 PRIMITIVE_CASES = [

@@ -40,18 +40,29 @@ class TestMakeBatch:
         corpus = toy_corpus(4, 32, seed=7)
         cfg = tiny_train_cfg(scale_min=1.0, scale_max=1.0)
         batch = make_batch(corpus, cfg, np.random.default_rng(0))
-        for sample in batch:
-            assert np.abs(sample.targets).max() <= 0.5 / 255 + 1e-12
+        assert np.abs(batch.targets).max() <= 0.5 / 255 + 1e-12
 
     def test_pairs_clamped_to_grid(self):
         corpus = toy_corpus(4, 32, seed=8)
         cfg = tiny_train_cfg(pairs_per_image=10_000, scale_min=1.5, scale_max=1.5)
         batch = make_batch(corpus, cfg, np.random.default_rng(1))
         expected = 9 * 9  # round(1.5 * 6) = 9, n = 1
-        for sample in batch:
-            assert sample.coords.shape[0] == expected
+        for b in range(cfg.batch):
+            coords = batch.coords[batch.crop == b]
+            assert coords.shape[0] == expected
             # without replacement: all queries distinct
-            assert len({tuple(c) for c in map(tuple, sample.coords)}) == expected
+            assert len({tuple(c) for c in map(tuple, coords)}) == expected
+
+    def test_batch_is_stacked(self):
+        corpus = toy_corpus(4, 32, seed=8)
+        cfg = tiny_train_cfg(scale_min=2.0)  # crops of 12+ pixels: 36+ patches of side 2
+        batch = make_batch(corpus, cfg, np.random.default_rng(1), patch_side=2)
+        n = batch.coords.shape[0]
+        assert batch.lr.shape == (cfg.batch, cfg.lr_crop, cfg.lr_crop, 3)
+        assert batch.scales.shape == (cfg.batch,)
+        assert batch.coords.shape == (n, 2) and batch.targets.shape == (n, 12)
+        # queries are grouped by crop, crops in draw order
+        np.testing.assert_array_equal(batch.crop, np.repeat(np.arange(cfg.batch), cfg.pairs))
 
     def test_scale_distribution_uniform(self):
         corpus = toy_corpus(2, 24, seed=9)
@@ -60,7 +71,7 @@ class TestMakeBatch:
         draws = []
         for _ in range(10_000):
             batch = make_batch(corpus, cfg, rng)
-            draws.append(batch[0].scale)
+            draws.append(batch.scales[0])
         p = scipy.stats.kstest(draws, scipy.stats.uniform(loc=1.0, scale=3.0).cdf).pvalue
         assert p > 0.01
 
@@ -70,7 +81,7 @@ class TestMakeBatch:
         cfg = tiny_train_cfg(scale_min=4.0, scale_max=4.0)  # crop 24 > 8
         with caplog.at_level("WARNING", logger="linf.training"):
             batch = make_batch([small, big], cfg, np.random.default_rng(3))
-        assert len(batch) == cfg.batch
+        assert batch.lr.shape[0] == batch.scales.shape[0] == cfg.batch
         assert any("skipping" in r.message for r in caplog.records)
 
     def test_all_images_too_small_raises(self):
@@ -88,8 +99,7 @@ class TestLoss:
         cfg = tiny_train_cfg(stage=2, lambda_nll=0.0, lambda_l1=1.0, dequant=0.0)
         model = Model.create(micro_config(flow_init_std=0.0), seed=0)
         batch = make_batch(corpus, cfg, np.random.default_rng(5))
-        for sample in batch:
-            sample.targets[:] = 0.0
+        batch.targets[:] = 0.0
         total, _, l1 = loss_components(batch, model, cfg)
         assert float(total.data) == 0.0
         assert l1 == 0.0
@@ -188,6 +198,15 @@ class TestTrainLoop:
         log = (run / "train_log.csv").read_text()
         assert [row.split(",")[0] for row in log.splitlines()[1:]] == list("123456")
         assert log == (tmp_path / "full" / "train_log.csv").read_text()
+
+    def test_resume_rejects_a_different_model_config(self, tmp_path):
+        corpus = toy_corpus(4, 32, seed=16)
+        train(corpus, tiny_train_cfg(steps=4), micro_config(), out_dir=str(tmp_path))
+        ckpt = str(tmp_path / "ckpt_final.linf")
+        with pytest.raises(ConfigError, match=r"trunk_width \(16 vs 32\)"):
+            train(corpus, tiny_train_cfg(steps=6), micro_config(trunk_width=16), resume=ckpt)
+        resumed = train(corpus, tiny_train_cfg(steps=6), micro_config(), resume=ckpt)
+        assert [row[0] for row in resumed.history] == [5, 6]
 
     def test_resume_needs_optimizer_state(self, tmp_path):
         path = str(tmp_path / "weights_only.linf")
