@@ -134,13 +134,28 @@ def _eval_pair(model, hr: Image, scale: float, tau: float, samples: int, seed: i
     return psnr(outs[0], hr_crop, on_y_channel=True), ssim(outs[0], hr_crop), div
 
 
+def _parse_taus(text: str) -> list[float]:
+    try:
+        taus = [float(t) for t in text.split(",") if t.strip() != ""]
+    except ValueError:
+        raise UsageError(f"--taus must be comma-separated numbers, got {text!r}") from None
+    if not taus:
+        raise UsageError("no tau values given")
+    bad = [t for t in taus if not (np.isfinite(t) and t >= 0.0)]
+    if bad:
+        raise UsageError(f"tau must be finite and >= 0, got {bad[0]}")
+    return taus
+
+
 def cmd_sweep(args) -> int:
+    # the arguments are checked before the model is loaded or an image processed
+    ScaleSpec(args.scale, 1, 1)  # rejects a non-finite or non-positive scale
+    taus = _parse_taus(args.taus)
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     ckpt = load_checkpoint(args.model)
     model = ckpt.model
     corpus = toy_corpus(8, 48) if args.corpus == "toy" else _read_image_dir(args.corpus)
-    taus = [float(t) for t in args.taus.split(",") if t.strip() != ""]
-    if not taus:
-        raise UsageError("no tau values given")
     _print_banner(
         "sweep",
         {"model": args.model, "corpus": args.corpus, "scale": args.scale,

@@ -6,7 +6,9 @@ amplitudes and frequencies come from two conv heads over the feature map,
 phases from a small MLP on the scalar cell size. The four nearest neighbors'
 features are bilinearly weighted and concatenated into one vector so the
 parameter-generating MLP and the flow run once per query. `condition` is the
-one path from queries to a condition, shared by training and `sr`.
+one path from queries to a condition, shared by training and `sr`;
+`ensemble_features` builds the concatenated vector with one taped op,
+`numerics.fourier_gather`, which the `--ensemble local` loop also uses.
 
 Neighbor order inside the concatenation is fixed: top-left, top-right,
 bottom-left, bottom-right, cos block before sin block within each neighbor.
@@ -128,23 +130,12 @@ def ensemble_features(
     amap_flat/fmap_flat are bank maps flattened to [H*W, 2K]; phases is [Q, K]
     (already expanded per query); indices/coords/weights come from
     neighborhood_geometry, with row indices offset for stacked lattices
-    (see condition).
+    (see condition). One taped op (`numerics.fourier_gather`).
     """
-    q = indices.shape[0]
-    k2 = amap_flat.shape[1]
-    k = k2 // 2
-    flat_idx = (indices[:, :, 0] * lattice_width + indices[:, :, 1]).reshape(-1)
-    a_g = nm.index_rows(amap_flat, flat_idx).reshape(q, 4, k2)
-    # the 2K frequency channels pair up as K (dy, dx) vectors
-    fy_g = nm.index_rows(fmap_flat[:, 0::2], flat_idx).reshape(q, 4, k)
-    fx_g = nm.index_rows(fmap_flat[:, 1::2], flat_idx).reshape(q, 4, k)
+    rows = indices[:, :, 0] * lattice_width + indices[:, :, 1]
     delta = np.atleast_2d(x_q)[:, None, :] - coords  # [Q,4,2]
-    dots = nm.add(nm.mul(fy_g, delta[:, :, 0:1]), nm.mul(fx_g, delta[:, :, 1:2]))
-    theta = nm.add(nm.mul(np.pi, dots), phases.reshape(q, 1, k))
-    feats = nm.mul(a_g, nm.cos_sin(theta))
-    if weighting == WEIGHTING_FULL:
-        feats = nm.mul(feats, nm.tensor(weights[:, :, None]))
-    return feats.reshape(q, 8 * k)
+    return nm.fourier_gather(amap_flat, fmap_flat, phases, rows, delta,
+                             weights if weighting == WEIGHTING_FULL else None)
 
 
 # -- parameter generation -------------------------------------------------------------------

@@ -257,19 +257,68 @@ def relu(a) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
 
 
-def cos_sin(a) -> Tensor:
-    """[cos a | sin a] along the last axis, written into one buffer.
+def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
+                   weights: np.ndarray | None = None) -> Tensor:
+    """Weighted Fourier features of gathered neighbour rows, [Q, N*2K].
 
-    Same values and gradient as concat([cos(a), sin(a)], axis=-1), the op
-    chain kept in tests/oracles.py."""
-    a = _as_tensor(a)
-    k = a.shape[-1]
-    out = np.empty(a.shape[:-1] + (2 * k,))
-    np.cos(a.data, out=out[..., :k])
-    np.sin(a.data, out=out[..., k:])
-    return _make(
-        out, (a,), lambda g: (g[..., k:] * out[..., :k] - g[..., :k] * out[..., k:],)
-    )
+    amp and freq are [R, 2K] row tables (freq's channels pair up as K
+    (fy, fx) vectors), phases is [Q, K], idx [Q, N] rows into the tables,
+    delta [Q, N, 2] relative coordinates and weights [Q, N] or None. Per
+    neighbour theta = pi*(fy*dy + fx*dx) + phase and the output is
+    amp * [cos theta | sin theta] * weight, written into one buffer. Same
+    values and gradients as the taped op chain kept in tests/oracles.py;
+    the tape keeps the gathered amplitudes and [cos | sin]."""
+    amp, freq, phases = _as_tensor(amp), _as_tensor(freq), _as_tensor(phases)
+    q, n = idx.shape
+    k2 = amp.shape[1]
+    k = k2 // 2
+    rows = idx.reshape(-1)
+    dy, dx = delta[:, :, 0:1], delta[:, :, 1:2]
+    # each temporary is freed before the next buffer is allocated, so the
+    # allocator can hand its pages on instead of faulting in fresh ones
+    theta = np.take(freq.data[:, 0::2], rows, axis=0).reshape(q, n, k)
+    theta *= dy
+    fx_dx = np.take(freq.data[:, 1::2], rows, axis=0).reshape(q, n, k)
+    fx_dx *= dx
+    theta += fx_dx
+    del fx_dx
+    theta *= np.pi
+    theta += phases.data.reshape(q, 1, k)
+    cs = np.empty((q, n, k2))
+    np.cos(theta, out=cs[..., :k])
+    np.sin(theta, out=cs[..., k:])
+    del theta
+    a = np.take(amp.data, rows, axis=0).reshape(q, n, k2)
+    w = None if weights is None else weights[:, :, None]
+    # without a tape nothing reads [cos | sin] again, so scale it in place
+    taped = active_tape() is not None and (amp.requires_grad or freq.requires_grad
+                                           or phases.requires_grad)
+    out = np.multiply(cs, a, out=None if taped else cs)
+    if w is not None:
+        out *= w
+
+    def bwd(g):
+        g = g.reshape(q, n, k2)
+        if w is not None:
+            g = g * w
+        g_a = g * cs
+        g_cs = g * a
+        g_theta = g_cs[..., k:] * cs[..., :k]
+        g_theta -= g_cs[..., :k] * cs[..., k:]
+        del g_cs
+        g_phases = g_theta.sum(axis=1, keepdims=True).reshape(q, k)
+        g_theta *= np.pi
+        g_amp = np.zeros_like(amp.data)
+        np.add.at(g_amp, rows, g_a.reshape(q * n, k2))
+        del g_a
+        # the dy and dx gradients land in the even and odd columns of one buffer
+        g_freq = np.zeros_like(freq.data)
+        np.add.at(g_freq[:, 0::2], rows, (g_theta * dy).reshape(q * n, k))
+        g_theta *= dx
+        np.add.at(g_freq[:, 1::2], rows, g_theta.reshape(q * n, k))
+        return (g_amp, g_freq, g_phases)
+
+    return _make(out.reshape(q, n * k2), (amp, freq, phases), bwd)
 
 
 def affine(x, w, b, relu: bool = False) -> Tensor:

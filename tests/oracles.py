@@ -3,8 +3,9 @@
 The package only runs the batched path of the local implicit conditioner
 (`implicit.ensemble_features` over flattened bank maps). The functions below
 compute the same quantities one query at a time, from a feature map tensor
-[H, W, C], so tests can compare the two. `cos`, `sin` and `concat` are the
-taped op chain that the fused `numerics.cos_sin` replaces.
+[H, W, C], so tests can compare the two. `ensemble_features_chain` is the
+taped op chain that the fused `numerics.fourier_gather` replaces, and
+`cos_sin` with `cos`, `sin` and `concat` the chain behind its [cos | sin].
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import numpy as np
 from linf import numerics as nm
 from linf.numerics.tensor import Tensor, _as_tensor, _make
 from linf.implicit import (
+    WEIGHTING_FULL,
     ImplicitParams,
     bank_maps,
     ensemble_features,
@@ -43,6 +45,50 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
         )
 
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
+
+
+def cos_sin(a) -> Tensor:
+    """[cos a | sin a] along the last axis, written into one buffer.
+
+    Same values and gradient as concat([cos(a), sin(a)], axis=-1)."""
+    a = _as_tensor(a)
+    k = a.shape[-1]
+    out = np.empty(a.shape[:-1] + (2 * k,))
+    np.cos(a.data, out=out[..., :k])
+    np.sin(a.data, out=out[..., k:])
+    return _make(
+        out, (a,), lambda g: (g[..., k:] * out[..., :k] - g[..., :k] * out[..., k:],)
+    )
+
+
+def ensemble_features_chain(
+    amap_flat: nm.Tensor,
+    fmap_flat: nm.Tensor,
+    phases: nm.Tensor,
+    x_q: np.ndarray,
+    indices: np.ndarray,
+    coords: np.ndarray,
+    weights: np.ndarray,
+    lattice_width: int,
+    weighting: str = WEIGHTING_FULL,
+) -> nm.Tensor:
+    """`implicit.ensemble_features` as 18 taped ops: three row gathers, two
+    column copies, the theta arithmetic, `cos_sin` and the weighting."""
+    q = indices.shape[0]
+    k2 = amap_flat.shape[1]
+    k = k2 // 2
+    flat_idx = (indices[:, :, 0] * lattice_width + indices[:, :, 1]).reshape(-1)
+    a_g = nm.index_rows(amap_flat, flat_idx).reshape(q, 4, k2)
+    # the 2K frequency channels pair up as K (dy, dx) vectors
+    fy_g = nm.index_rows(fmap_flat[:, 0::2], flat_idx).reshape(q, 4, k)
+    fx_g = nm.index_rows(fmap_flat[:, 1::2], flat_idx).reshape(q, 4, k)
+    delta = np.atleast_2d(x_q)[:, None, :] - coords  # [Q,4,2]
+    dots = nm.add(nm.mul(fy_g, delta[:, :, 0:1]), nm.mul(fx_g, delta[:, :, 1:2]))
+    theta = nm.add(nm.mul(np.pi, dots), phases.reshape(q, 1, k))
+    feats = nm.mul(a_g, cos_sin(theta))
+    if weighting == WEIGHTING_FULL:
+        feats = nm.mul(feats, nm.tensor(weights[:, :, None]))
+    return feats.reshape(q, 8 * k)
 
 
 @dataclass

@@ -382,6 +382,28 @@ class TestSweepCommand:
                      "--scale", "2", "--taus", "0"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("bad", [
+        ["--samples", "0", "--taus", "0.5"],
+        ["--scale", "0"],
+        ["--scale", "nan"],
+        ["--taus", "abc"],
+    ], ids=["samples-0", "scale-0", "scale-nan", "taus-abc"])
+    def test_bad_arguments_exit2_before_loading(
+        self, micro_checkpoint, tmp_path, capsys, monkeypatch, bad
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called before the arguments were checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_run)
+        monkeypatch.setattr(cli, "super_resolve", must_not_run)
+        argv = {"--scale": "2", "--taus": "0"}
+        argv.update(zip(bad[::2], bad[1::2]))
+        code = main(["sweep", "--model", micro_checkpoint, "--corpus", "toy",
+                     *[x for kv in argv.items() for x in kv]])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_trained_model_tau_ordering_and_diversity_ratio(self, tmp_path, capsys):
         # mean output maximizes PSNR; diversity scales linearly in tau. The
         # linearity measurement needs samples clear of the [0,1] clamp, so the

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from linf import implicit
 from linf import numerics as nm
 from linf.errors import ConfigError, ShapeError, UsageError
 
-from .oracles import concat, cos, sin
+from .oracles import concat, cos, cos_sin, ensemble_features_chain, sin
 
 
 def naive_conv2d(x, k):
@@ -188,7 +189,7 @@ PRIMITIVE_CASES = [
     ("exp", lambda a: nm.exp(a), 1),
     ("cos", lambda a: cos(a), 1),
     ("sin", lambda a: sin(a), 1),
-    ("cos_sin", lambda a: nm.cos_sin(a), 1),
+    ("cos_sin", lambda a: cos_sin(a), 1),
     ("relu_shifted", lambda a: nm.relu(nm.add(a, 0.2)), 1),
     ("neg", lambda a: nm.neg(a), 1),
     ("reshape", lambda a: nm.reshape(a, (a.size,)), 1),
@@ -270,7 +271,7 @@ class TestFusedOps:
 
     def test_cos_sin_bit_identical_to_op_chain(self):
         theta = np.random.default_rng(95).normal(size=(33, 4, 16)) * 5.0
-        fused, (g_fused,) = _readout_grads(nm.cos_sin, [theta], seed=96)
+        fused, (g_fused,) = _readout_grads(cos_sin, [theta], seed=96)
         chain, (g_chain,) = _readout_grads(
             lambda t: concat([cos(t), sin(t)], axis=-1), [theta], seed=96
         )
@@ -294,6 +295,82 @@ class TestFusedOps:
     def test_affine_shape_mismatch(self):
         with pytest.raises(ShapeError):
             nm.affine(np.ones((2, 3)), np.ones((2, 3)), np.ones(3))
+
+
+def _ensemble_case(case, rng):
+    """(arrays [amap_flat, fmap_flat, phases], ensemble_features args after
+    them) for one query layout of the four-neighbour ensemble."""
+    h, w, k, q = 5, 7, 3, 40
+    # a third of the queries outside the lattice, so clamped borders duplicate rows
+    x_q = rng.uniform(-1.3, 1.3, size=(q, 2))
+    indices, coords, weights = implicit.neighborhood_geometry(h, w, x_q)
+    lattices = 1
+    if case == "stacked":
+        lattices = 3
+        indices[:, :, 0] += h * rng.integers(lattices, size=q)[:, None]
+    if case == "local":  # the --ensemble local pass of neighbour 2
+        indices = np.repeat(indices[:, 2:3], 4, axis=1)
+        coords = np.repeat(coords[:, 2:3], 4, axis=1)
+    arrays = [rng.normal(size=(lattices * h * w, 2 * k)), rng.normal(size=(lattices * h * w, 2 * k)),
+              rng.normal(size=(q, k))]
+    return arrays, (x_q, indices, coords, weights, w)
+
+
+class TestFourierGather:
+    @pytest.mark.parametrize("weighting", ["full", "none"])
+    @pytest.mark.parametrize("case", ["clamped", "stacked", "local"])
+    def test_bit_identical_to_op_chain(self, case, weighting):
+        rng = np.random.default_rng(98)
+        arrays, args = _ensemble_case(case, rng)
+        if case == "clamped":
+            rows = args[1][:, :, 0] * args[4] + args[1][:, :, 1]
+            assert any(len(set(r)) < 4 for r in rows)  # duplicates are exercised
+        fused, fused_grads = _readout_grads(
+            lambda a, f, p: implicit.ensemble_features(a, f, p, *args, weighting), arrays, seed=99
+        )
+        chain, chain_grads = _readout_grads(
+            lambda a, f, p: ensemble_features_chain(a, f, p, *args, weighting), arrays, seed=99
+        )
+        np.testing.assert_array_equal(fused.view(np.int64), chain.view(np.int64))
+        for g_fused, g_chain in zip(fused_grads, chain_grads):
+            np.testing.assert_array_equal(g_fused.view(np.int64), g_chain.view(np.int64))
+
+    def test_untaped_output_matches_taped(self):
+        rng = np.random.default_rng(100)
+        arrays, args = _ensemble_case("clamped", rng)
+        taped, _ = _readout_grads(
+            lambda a, f, p: implicit.ensemble_features(a, f, p, *args), arrays, seed=101
+        )
+        plain = implicit.ensemble_features(*[nm.tensor(a) for a in arrays], *args)
+        np.testing.assert_array_equal(plain.data.view(np.int64), taped.view(np.int64))
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_gradcheck(self, weighted):
+        rng = np.random.default_rng(102 + weighted)
+        idx = rng.integers(4, size=(3, 4))  # 3 queries over 4 rows, with repeats
+        delta = rng.normal(size=(3, 4, 2)) * 0.5
+        weights = rng.random((3, 4)) if weighted else None
+        datas = [rng.normal(size=(4, 4)), rng.normal(size=(4, 4)), rng.normal(size=(3, 2))]
+        readout = rng.normal(size=(3, 16))
+        tensors = [nm.Tensor(d.copy(), requires_grad=True) for d in datas]
+        with nm.GradTape() as tape:
+            out = nm.fourier_gather(*tensors, idx, delta, weights)
+            loss = nm.tsum(nm.mul(out, nm.tensor(readout)))
+        tape.backward(loss)
+
+        def f():
+            return float((nm.fourier_gather(*datas, idx, delta, weights).data * readout).sum())
+
+        for t, d in zip(tensors, datas):
+            assert rel(t.grad, numeric_grad(f, d)) < 1e-7
+
+    def test_one_tape_record_per_ensemble(self):
+        rng = np.random.default_rng(104)
+        arrays, args = _ensemble_case("stacked", rng)
+        tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
+        with nm.GradTape() as tape:
+            implicit.ensemble_features(*tensors, *args)
+        assert len(tape) == 1
 
 
 class TestStructureOps:

@@ -28,11 +28,16 @@ SECONDS = 25
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-10' or '1,4,7' (or a mix) as a list of seeds."""
+    """'1-10' or '1,4,7' (or a mix) as a list of seeds; quartiles need two."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += span
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r}: the quartiles need at least two seeds")
     return seeds
 
 
