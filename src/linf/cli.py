@@ -149,7 +149,8 @@ def _parse_taus(text: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     # the arguments are checked before the model is loaded or an image processed
-    ScaleSpec(args.scale, 1, 1)  # rejects a non-finite or non-positive scale
+    if not (np.isfinite(args.scale) and args.scale >= 1.0):  # the LR is the HR / the scale
+        raise UsageError(f"sweep --scale must be finite and >= 1, got {args.scale}")
     taus = _parse_taus(args.taus)
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
@@ -286,6 +287,9 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except LinfError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -110,8 +110,8 @@ def bank_maps(fm_tensor: nm.Tensor, params: ImplicitParams) -> tuple[nm.Tensor, 
 def phase_vector(cell, params: ImplicitParams) -> nm.Tensor:
     """Phases from the scalar cell size via the 2-layer MLP; [B, K] for B cells."""
     cells = np.atleast_1d(np.asarray(cell, dtype=np.float64)).reshape(-1, 1)
-    h = nm.relu(nm.add(nm.matmul(nm.tensor(cells), params["phase.w1"]), params["phase.b1"]))
-    return nm.add(nm.matmul(h, params["phase.w2"]), params["phase.b2"])
+    h = nm.affine(cells, params["phase.w1"], params["phase.b1"], relu=True)
+    return nm.affine(h, params["phase.w2"], params["phase.b2"])
 
 
 def ensemble_features(

@@ -12,7 +12,7 @@ from .encoder import KERNEL, encode_batch
 from .errors import ConfigError
 from .imaging import Image
 from .implicit import WEIGHTING_FULL, WEIGHTING_NONE, ImplicitParams
-from .flow import FlowModel, LinearFlowLayer, identity_jitter
+from .flow import FlowModel, identity_jitter
 
 LAYER_ORDER = "linear_first"  # within each pair: linear map, then injector
 
@@ -123,11 +123,9 @@ class Model:
         self._params = params
         self.encoder_params = _section(params, "encoder.")
         self.implicit_params = ImplicitParams(cfg, _section(params, "implicit."))
-        self.flow = FlowModel(
-            [LinearFlowLayer(params[f"flow.{i}.w"], params[f"flow.{i}.b"])
-             for i in range(cfg.flow_layers)],
-            cfg.patch_side,
-        )
+        layers = range(cfg.flow_layers)
+        self.flow = FlowModel([params[f"flow.{i}.w"] for i in layers],
+                              [params[f"flow.{i}.b"] for i in layers], cfg.patch_side)
 
     @classmethod
     def create(cls, cfg: ModelConfig, seed: int = 0) -> "Model":

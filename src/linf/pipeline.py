@@ -16,6 +16,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import UsageError
+from .flow import latents
 from .imaging import Image, bilinear_upsample
 from .implicit import (
     conditioner,
@@ -46,6 +47,10 @@ class ScaleSpec:
     def __post_init__(self):
         if not (math.isfinite(self.s) and self.s > 0):
             raise UsageError(f"scale must be finite and positive, got {self.s}")
+        # the [sH, sW, 3] float64 output raster must have a size numpy can index
+        if not (math.isfinite(self.s * max(self.height, self.width))
+                and self.target_height * self.target_width * 24 <= np.iinfo(np.intp).max):
+            raise UsageError(f"scale {self.s} gives an output raster too large to represent")
 
     @property
     def target_height(self) -> int:
@@ -232,20 +237,15 @@ def super_resolve(
     condition (`implicit.condition`) and the flow inverse.
     """
     spec = ScaleSpec(s, lr.height, lr.width)
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise UsageError(f"tau must be finite and >= 0, got {tau}")
     if chunk < 1:
         raise UsageError(f"chunk must be >= 1, got {chunk}")
     grid = build_grid(spec, model.cfg.patch_side)
+    d = grid.patch_dim
+    z_all = latents(grid.num_patches, d, tau, np.random.default_rng(seed))
     amap, fmap = bank_maps(model.encode(lr), model.implicit_params)
     hw = lr.height * lr.width
     amap_flat, fmap_flat = amap.reshape(hw, -1), fmap.reshape(hw, -1)
     centers = grid.centers()
-    d = grid.patch_dim
-    if tau == 0.0:
-        z_all = np.zeros((grid.num_patches, d))
-    else:
-        z_all = tau * np.random.default_rng(seed).standard_normal((grid.num_patches, d))
     patches = np.empty((grid.num_patches, d))
     for start in range(0, grid.num_patches, chunk):
         stop = min(start + chunk, grid.num_patches)

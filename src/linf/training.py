@@ -325,8 +325,8 @@ def _open_log(path: str, resume_step: int | None):
 
 
 def _rejitter_flow(model: Model, rng: np.random.Generator) -> None:
-    for layer in model.flow.layers:
-        layer.weight.assign_(layer.weight.data + 1e-3 * rng.normal(size=layer.weight.shape))
+    for w in model.flow.weights:
+        w.assign_(w.data + 1e-3 * rng.normal(size=w.shape))
 
 
 # -- checkpoint container ----------------------------------------------------------

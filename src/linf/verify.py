@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics as nm
 from . import telemetry
 from .corpus import toy_corpus
-from .flow import LOG_2PI, FlowModel
+from .flow import LOG_2PI, FlowModel, latents
 from .imaging import Image, bicubic_resample, bilinear_upsample, diversity, psnr, ssim
 from .implicit import ConditionerOutput
 from .model import Model, ModelConfig
@@ -253,10 +253,14 @@ def check_temperature_law() -> tuple[bool, str]:
     flow = FlowModel.create(1, 10, rng=rng, init_std=0.1)
     cond = random_cond(rng, flow.num_layers, flow.d)
     mean = flow.inverse(nm.tensor(np.zeros((1, flow.d))), cond).data
-    tau0 = flow.sample(cond, 0.0).data
+    tau0 = flow.inverse(nm.tensor(latents(1, flow.d, 0.0, None)), cond).data
     mean_err = float(np.abs(tau0 - mean).max())
-    s08 = flow.sample(cond, 0.8, np.random.default_rng(8), count=10_000).data.std(axis=0)
-    s04 = flow.sample(cond, 0.4, np.random.default_rng(4), count=10_000).data.std(axis=0)
+
+    def sample_std(tau: float, seed: int) -> np.ndarray:
+        z = latents(10_000, flow.d, tau, np.random.default_rng(seed))
+        return flow.inverse(nm.tensor(z), cond).data.std(axis=0)
+
+    s08, s04 = sample_std(0.8, 8), sample_std(0.4, 4)
     ratio = float(np.mean(s08 / s04))
     ok = abs(ratio - 2.0) <= 0.1 and mean_err <= 1e-9
     return ok, f"std ratio {ratio:.4f} (want 2.0 +/- 5%), tau=0 mean error {mean_err:.1e}"

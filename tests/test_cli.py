@@ -255,7 +255,7 @@ class TestSrCommand:
                      "--out", str(tmp_path / "o.ppm")])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("scale,tau", [("2", "-1"), ("nan", "0.5")])
+    @pytest.mark.parametrize("scale,tau", [("2", "-1"), ("nan", "0.5"), ("1e300", "0.5")])
     def test_bad_tau_or_scale_exit2(self, micro_checkpoint, tmp_path, capsys, scale, tau):
         inp = self._write_input(tmp_path)
         code = main(["sr", inp, "--model", micro_checkpoint, "--scale", scale, "--tau", tau,
@@ -263,6 +263,19 @@ class TestSrCommand:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "o.ppm").exists()
+
+    def test_out_of_memory_exit3(self, micro_checkpoint, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 44.7 GiB for an array")
+
+        monkeypatch.setattr(cli, "super_resolve", no_memory)
+        inp = self._write_input(tmp_path)
+        code = main(["sr", inp, "--model", micro_checkpoint, "--scale", "2",
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "44.7 GiB" in err and err.count("\n") == 1
         assert not (tmp_path / "o.ppm").exists()
 
     def test_tau0_outputs_byte_identical(self, micro_checkpoint, tmp_path):
@@ -386,8 +399,10 @@ class TestSweepCommand:
         ["--samples", "0", "--taus", "0.5"],
         ["--scale", "0"],
         ["--scale", "nan"],
+        ["--scale", "1e-300"],
+        ["--scale", "0.5"],
         ["--taus", "abc"],
-    ], ids=["samples-0", "scale-0", "scale-nan", "taus-abc"])
+    ], ids=["samples-0", "scale-0", "scale-nan", "scale-1e-300", "scale-0.5", "taus-abc"])
     def test_bad_arguments_exit2_before_loading(
         self, micro_checkpoint, tmp_path, capsys, monkeypatch, bad
     ):
@@ -477,14 +492,21 @@ class TestVerifyCommand:
         assert "temperature-law" in out
 
     def test_injected_inverse_bug_detected(self, monkeypatch, capsys):
+        import copy
+
         from linf import numerics as nm
-        from linf.flow import LinearFlowLayer
+        from linf.flow import FlowModel
 
-        def broken_inverse(self, h):
-            # transposed weight: wrong unless W is symmetric
-            return nm.solve_rows(nm.sub(h, self.bias), nm.transpose(self.weight))
+        inverse = FlowModel.inverse
 
-        monkeypatch.setattr(LinearFlowLayer, "inverse", broken_inverse)
+        def broken_inverse(self, z, cond):
+            # transposed weights: wrong unless every W is symmetric
+            flipped = copy.copy(self)
+            flipped.weights = [nm.transpose(w) for w in self.weights]
+            flipped.refresh()
+            return inverse(flipped, z, cond)
+
+        monkeypatch.setattr(FlowModel, "inverse", broken_inverse)
         code = main(["verify", "--level", "fast"])
         assert code == EXIT_VERIFY
         out = capsys.readouterr().out

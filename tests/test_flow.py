@@ -6,7 +6,7 @@ import pytest
 from linf import numerics as nm
 from linf import telemetry
 from linf.errors import UsageError
-from linf.flow import LOG_2PI, FlowModel, LinearFlowLayer
+from linf.flow import LOG_2PI, FlowModel, latents
 from linf.numerics import finite_diff_jacobian, lu_factor
 from linf.verify import random_cond
 
@@ -50,10 +50,8 @@ class TestForward:
         np.testing.assert_array_equal(logdet.data, [0.0])
 
     def test_single_diagonal_pair(self):
-        layer = LinearFlowLayer(
-            nm.tensor(np.diag([2.0, 2.0, 2.0])), nm.tensor(np.zeros(3))
-        )
-        flow = FlowModel([layer], patch_side=1)
+        flow = FlowModel([nm.tensor(np.diag([2.0, 2.0, 2.0]))], [nm.tensor(np.zeros(3))],
+                         patch_side=1)
         cond = identity_cond(1, 3)
         m = np.array([[0.1, -0.4, 0.9]])
         z, logdet = flow.forward(nm.tensor(m), cond)
@@ -140,6 +138,11 @@ class TestLogProb:
             assert abs(lp - gaussian_logpdf(m, b, cov)) <= 1e-6
 
 
+def sample(flow, cond, tau, rng, count=1):
+    """Patches from the prior at temperature tau, mapped through the flow."""
+    return flow.inverse(nm.tensor(latents(count, flow.d, tau, rng)), cond)
+
+
 class TestSample:
     def test_tau_zero_is_mean_and_consumes_no_rng(self):
         rng = np.random.default_rng(64)
@@ -147,15 +150,18 @@ class TestSample:
         cond = random_cond(rng, flow.num_layers, flow.d)
         probe = np.random.default_rng(123)
         state_before = probe.bit_generator.state
-        out = flow.sample(cond, 0.0, probe)
+        out = sample(flow, cond, 0.0, probe)
         assert probe.bit_generator.state == state_before
         mean = flow.inverse(nm.tensor(np.zeros((1, flow.d))), cond).data
         np.testing.assert_array_equal(out.data, mean)
 
     def test_negative_tau_rejected(self):
-        flow = identity_flow()
-        with pytest.raises(UsageError):
-            flow.sample(identity_cond(flow.num_layers, flow.d), -0.1)
+        probe = np.random.default_rng(0)
+        state_before = probe.bit_generator.state
+        for tau in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="tau must be finite and >= 0"):
+                latents(1, 3, tau, probe)
+        assert probe.bit_generator.state == state_before
 
     def test_identity_flow_tau1_standard_normal(self):
         import scipy.stats
@@ -163,7 +169,7 @@ class TestSample:
         flow = identity_flow()
         cond = identity_cond(flow.num_layers, flow.d)
         rng = np.random.default_rng(65)
-        draws = flow.sample(cond, 1.0, rng, count=10_000).data
+        draws = sample(flow, cond, 1.0, rng, count=10_000).data
         for comp in range(flow.d):
             p = scipy.stats.kstest(draws[:, comp], "norm").pvalue
             assert p > 0.01
@@ -172,8 +178,8 @@ class TestSample:
         rng = np.random.default_rng(66)
         flow = random_flow(rng)
         cond = random_cond(rng, flow.num_layers, flow.d)
-        s08 = flow.sample(cond, 0.8, np.random.default_rng(1), count=10_000).data.std(axis=0)
-        s04 = flow.sample(cond, 0.4, np.random.default_rng(2), count=10_000).data.std(axis=0)
+        s08 = sample(flow, cond, 0.8, np.random.default_rng(1), count=10_000).data.std(axis=0)
+        s04 = sample(flow, cond, 0.4, np.random.default_rng(2), count=10_000).data.std(axis=0)
         ratio = s08 / s04
         assert np.all(np.abs(ratio - 2.0) < 0.1)
         assert abs(ratio.mean() - 2.0) < 0.05
@@ -183,11 +189,11 @@ class TestLuCache:
     def test_cache_refreshes_on_parameter_update(self):
         rng = np.random.default_rng(68)
         flow = random_flow(rng, layers=1)
-        layer = flow.layers[0]
-        before = layer.lu()
-        assert layer.lu() is before  # cached while W unchanged
-        layer.weight.assign_(layer.weight.data + 0.05 * rng.normal(size=layer.weight.shape))
-        after = layer.lu()
+        w = flow.weights[0]
+        before = flow.lu(0)
+        assert flow.lu(0) is before  # cached while W unchanged
+        w.assign_(w.data + 0.05 * rng.normal(size=w.shape))
+        after = flow.lu(0)
         assert after is not before
         assert after.logabsdet() != before.logabsdet()
 
@@ -234,6 +240,7 @@ class TestGradientsThroughFlow:
 
         from .test_tensor import numeric_grad, rel
 
-        for name, p in flow.parameters().items():
-            fd = numeric_grad(lambda: float(compute().data), p.data)
-            assert rel(p.grad, fd) < 1e-4, name
+        for k in range(flow.num_layers):
+            for name, p in (("w", flow.weights[k]), ("b", flow.biases[k])):
+                fd = numeric_grad(lambda: float(compute().data), p.data)
+                assert rel(p.grad, fd) < 1e-4, f"flow.{k}.{name}"

@@ -53,5 +53,5 @@ def test_stages_share_the_parameter_tensors():
     params = model.parameters()
     assert model.encoder_params["head.w"] is params["encoder.head.w"]
     assert model.implicit_params["trunk.w2"] is params["implicit.trunk.w2"]
-    assert model.flow.layers[-1].bias is params[f"flow.{model.cfg.flow_layers - 1}.b"]
+    assert model.flow.biases[-1] is params[f"flow.{model.cfg.flow_layers - 1}.b"]
 

@@ -65,6 +65,14 @@ class TestScaleSpec:
         with pytest.raises(UsageError):
             ScaleSpec(s, 4, 4)
 
+    @pytest.mark.parametrize("s", [1e9, 1e300, 1e308])
+    def test_unrepresentable_output_raster_rejected(self, s):
+        with pytest.raises(UsageError, match="too large to represent"):
+            ScaleSpec(s, 6, 6)
+
+    def test_large_representable_raster_accepted(self):
+        assert ScaleSpec(1e4, 6, 6).target_height == 60_000
+
 
 class TestBuildGrid:
     def test_exact_division(self):

@@ -227,10 +227,10 @@ class TestTrainLoop:
         corpus = toy_corpus(4, 32, seed=18)
         cfg = tiny_train_cfg(steps=3)
         model = Model.create(micro_config(), seed=0)
-        layer = model.flow.layers[0]
-        w = layer.weight.data.copy()
+        weight = model.flow.weights[0]
+        w = weight.data.copy()
         w[0] = w[1]  # exactly singular
-        layer.weight.assign_(w)
+        weight.assign_(w)
         batch = make_batch(corpus, cfg, np.random.default_rng(9))
         from linf.errors import SingularMatrixError
 
@@ -244,7 +244,7 @@ class TestTrainLoop:
         assert len(res.history) >= 1  # later steps succeeded
         from linf.numerics import lu_factor
 
-        lu_factor(layer.weight.data)  # no longer singular
+        lu_factor(weight.data)  # no longer singular
 
     def test_learning_rate_halving_schedule(self):
         corpus = toy_corpus(4, 32, seed=21)
