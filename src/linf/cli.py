@@ -90,13 +90,14 @@ def cmd_train(args) -> int:
 
 def cmd_sr(args) -> int:
     tau = args.tau if args.tau is not None else default_tau(args.scale)
-    check_writable(args.out)  # before the model is loaded and the image computed
+    # the output, input and scale are checked before the model is loaded
+    check_writable(args.out)
+    lr = read_image(args.input)
+    spec = ScaleSpec(args.scale, lr.height, lr.width)
     ckpt = load_checkpoint(args.model)
     model = ckpt.model
     if args.weighting is not None:
         model.cfg.ensemble_weighting = args.weighting
-    lr = read_image(args.input)
-    spec = ScaleSpec(args.scale, lr.height, lr.width)
     grid = build_grid(spec, model.cfg.patch_side)
     _print_banner(
         "sr",
@@ -118,16 +119,18 @@ def cmd_sr(args) -> int:
     return EXIT_OK
 
 
-def _eval_pair(model, hr: Image, scale: float, tau: float, samples: int, seed: int,
+def _pair_spec(hr: Image, scale: float) -> ScaleSpec:
+    """The LR extents a ground-truth image is reduced to, and its target raster."""
+    return ScaleSpec(scale, max(2, int(hr.height // scale)), max(2, int(hr.width // scale)))
+
+
+def _eval_pair(model, hr: Image, spec: ScaleSpec, tau: float, samples: int, seed: int,
                ensemble: str) -> tuple[float, float, float]:
     """(psnr_y, ssim, diversity) for one ground-truth image at one tau."""
-    lr_h = max(2, int(hr.height // scale))
-    lr_w = max(2, int(hr.width // scale))
-    spec = ScaleSpec(scale, lr_h, lr_w)
     hr_crop = Image(hr.data[: spec.target_height, : spec.target_width])
-    lr = bicubic_resample(hr_crop, lr_h, lr_w)
+    lr = bicubic_resample(hr_crop, spec.height, spec.width)
     outs = [
-        super_resolve(lr, scale, tau, model, seed=seed + 1000 * k, ensemble=ensemble)
+        super_resolve(lr, spec.s, tau, model, seed=seed + 1000 * k, ensemble=ensemble)
         for k in range(samples if tau > 0 else 1)
     ]
     div = diversity(outs) if len(outs) >= 2 else 0.0
@@ -148,15 +151,17 @@ def _parse_taus(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    # the arguments are checked before the model is loaded or an image processed
+    # the arguments, the corpus and every pair's scale are checked before the
+    # model is loaded or an image processed
     if not (np.isfinite(args.scale) and args.scale >= 1.0):  # the LR is the HR / the scale
         raise UsageError(f"sweep --scale must be finite and >= 1, got {args.scale}")
     taus = _parse_taus(args.taus)
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    corpus = toy_corpus(8, 48) if args.corpus == "toy" else _read_image_dir(args.corpus)
+    specs = [_pair_spec(hr, args.scale) for hr in corpus]
     ckpt = load_checkpoint(args.model)
     model = ckpt.model
-    corpus = toy_corpus(8, 48) if args.corpus == "toy" else _read_image_dir(args.corpus)
     _print_banner(
         "sweep",
         {"model": args.model, "corpus": args.corpus, "scale": args.scale,
@@ -165,8 +170,8 @@ def cmd_sweep(args) -> int:
     rows = ["tau,psnr_y,ssim,diversity"]
     for tau in taus:
         stats = [
-            _eval_pair(model, hr, args.scale, tau, args.samples, args.seed + 31 * i, args.ensemble)
-            for i, hr in enumerate(corpus)
+            _eval_pair(model, hr, spec, tau, args.samples, args.seed + 31 * i, args.ensemble)
+            for i, (hr, spec) in enumerate(zip(corpus, specs))
         ]
         finite = [s for s in stats if np.isfinite(s[0])]
         mean_psnr = float(np.mean([s[0] for s in finite])) if finite else float("inf")

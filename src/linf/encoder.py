@@ -20,10 +20,10 @@ KERNEL = 3  # every encoder conv is 3x3; model.param_layout holds the shapes
 def encode_batch(x: nm.Tensor, cfg: ModelConfig, params: dict[str, nm.Tensor]) -> nm.Tensor:
     """Run the encoder on [N,H,W,3] (or [H,W,3]) RGB data in [0,1]."""
     x = nm.sub(x, 0.5)
-    head = nm.add(nm.conv2d(x, params["head.w"]), params["head.b"])
+    head = nm.conv2d(x, params["head.w"], params["head.b"])
     h = head
     for i in range(cfg.encoder_blocks):
-        inner = nm.relu(nm.add(nm.conv2d(h, params[f"block{i}.w1"]), params[f"block{i}.b1"]))
-        h = nm.add(h, nm.add(nm.conv2d(inner, params[f"block{i}.w2"]), params[f"block{i}.b2"]))
-    tail = nm.add(nm.conv2d(h, params["tail.w"]), params["tail.b"])
+        inner = nm.relu(nm.conv2d(h, params[f"block{i}.w1"], params[f"block{i}.b1"]))
+        h = nm.add(h, nm.conv2d(inner, params[f"block{i}.w2"], params[f"block{i}.b2"]))
+    tail = nm.conv2d(h, params["tail.w"], params["tail.b"])
     return nm.add(tail, head)

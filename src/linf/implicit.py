@@ -102,8 +102,8 @@ def neighborhood_geometry(
 
 def bank_maps(fm_tensor: nm.Tensor, params: ImplicitParams) -> tuple[nm.Tensor, nm.Tensor]:
     """Amplitude and frequency maps over the whole feature map ([..,2K] each)."""
-    amap = nm.add(nm.conv2d(fm_tensor, params["amp.w"]), params["amp.b"])
-    fmap = nm.add(nm.conv2d(fm_tensor, params["freq.w"]), params["freq.b"])
+    amap = nm.conv2d(fm_tensor, params["amp.w"], params["amp.b"])
+    fmap = nm.conv2d(fm_tensor, params["freq.w"], params["freq.b"])
     return amap, fmap
 
 

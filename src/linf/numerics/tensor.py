@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ShapeError, UsageError
+from ..errors import ConfigError, ShapeError, UsageError
 from .linalg import LuFactors, lu_factor
 
 _state = threading.local()
@@ -460,17 +460,32 @@ def solve_rows(y, w, lu: LuFactors | None = None) -> Tensor:
 # -- convolution --------------------------------------------------------------------
 
 
-def conv2d(x, kernel) -> Tensor:
-    """Same-padded 2-D convolution in HWC layout.
+CONV_BAND_ROWS = 1024  # padded-width output rows per conv2d band; keeps its sums in cache
 
-    `x` is [H,W,Cin] or [N,H,W,Cin]; `kernel` is [k,k,Cin,Cout]; zero padding,
-    odd k only. Computed as one gemm per kernel offset on flattened slices of
-    the padded input; backward re-contracts against the retained padded input
-    instead of keeping an im2col buffer alive on the tape.
+
+def conv2d(x, kernel, bias=None) -> Tensor:
+    """Same-padded 2-D convolution in HWC layout, plus an optional bias.
+
+    `x` is [H,W,Cin] or [N,H,W,Cin]; `kernel` is [k,k,Cin,Cout] with k odd;
+    `bias` is [Cout] or None; zero padding. Each image is padded once into
+    a flat [(H+2p)*Wp, Cin] row table (Wp = W+2p), so for kernel offset
+    (dy, dx) the output row r*Wp+c of the padded-width grid reads table row
+    (r+dy)*Wp+c+dx: one gemm per offset on a contiguous row slice, no copy.
+    The grid is done in bands of about CONV_BAND_ROWS rows; each band sums
+    its offsets' products in (dy, dx) order in two reused buffers, and its
+    crop to the W real columns and the bias add are one numpy add into the
+    output. Backward keeps the padded table: the kernel gradient contracts a
+    contiguous [N*H*W, Cin] copy of each shifted slice, and the input
+    gradient adds g @ K[dy, dx].T into the shifted slice of a padded buffer.
+
+    Values and gradients are bit-identical to add(conv2d_per_offset(x, k),
+    bias) in tests/oracles.py, which runs one gemm per offset over the whole
+    batch, when Cout is a multiple of 8, as in every shipped config. For
+    other Cout, OpenBLAS may round the N tail of the smaller band gemms
+    differently (a few ulp); so may batches of several 1x1 images, where
+    numpy runs a gemv per image in place of one gemm.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
-    from ..errors import ConfigError
-
     if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
         raise ShapeError(f"kernel must be [k,k,Cin,Cout], got {kernel.shape}")
     k = kernel.shape[0]
@@ -486,33 +501,57 @@ def conv2d(x, kernel) -> Tensor:
             f"conv2d channel mismatch: input {cin} vs kernel {kernel.shape[2]}"
         )
     cout = kernel.shape[3]
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (cout,):
+            raise ShapeError(f"conv2d bias must be [{cout}], got {bias.shape}")
     pad = k // 2
-    xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    flat = (n * h * w, cin)
-    out = np.zeros((n * h * w, cout))
-    for dy in range(k):
-        for dx in range(k):
-            xs = np.ascontiguousarray(xp[:, dy : dy + h, dx : dx + w, :]).reshape(flat)
-            out += xs @ kernel.data[dy, dx]
-    out = out.reshape(n, h, w, cout)
-
-    def bwd(g):
-        g2 = np.ascontiguousarray(g).reshape(n * h * w, cout)
-        gk = np.empty_like(kernel.data) if kernel.requires_grad else None
-        gxp = np.zeros_like(xp) if x.requires_grad else None
+    wp = w + 2 * pad
+    band = max(1, min(h, CONV_BAND_ROWS // wp))  # image rows per band
+    xp = np.zeros((n, h + 2 * pad, wp, cin))
+    xp[:, pad : pad + h, pad : pad + w] = xd
+    xrows = xp.reshape(n, -1, cin)
+    out = np.empty((n, h, w, cout))
+    acc = np.empty((n, band * wp, cout))
+    prod = np.empty_like(acc)
+    for r0 in range(0, h, band):
+        r1 = min(h, r0 + band)
+        rows = (r1 - r0 - 1) * wp + w  # the band's last row ends at its last real column
+        acc_b, prod_b = acc[:, :rows], prod[:, :rows]
+        acc_b.fill(0.0)
         for dy in range(k):
             for dx in range(k):
-                xs = np.ascontiguousarray(xp[:, dy : dy + h, dx : dx + w, :]).reshape(flat)
-                if gk is not None:
-                    gk[dy, dx] = xs.T @ g2
-                if gxp is not None:
-                    gslice = (g2 @ kernel.data[dy, dx].T).reshape(n, h, w, cin)
-                    gxp[:, dy : dy + h, dx : dx + w, :] += gslice
-        if gxp is None:
-            gx = None
+                start = (r0 + dy) * wp + dx
+                np.matmul(xrows[:, start : start + rows], kernel.data[dy, dx], out=prod_b)
+                acc_b += prod_b
+        crop = acc[:, : (r1 - r0) * wp].reshape(n, r1 - r0, wp, cout)[:, :, :w]
+        if bias is None:
+            out[:, r0:r1] = crop
         else:
-            gx = gxp[:, pad : pad + h, pad : pad + w, :]
-            gx = gx[0] if squeeze else gx
-        return (gx, gk)
+            np.add(crop, bias.data, out=out[:, r0:r1])
 
-    return _make(out[0] if squeeze else out, (x, kernel), bwd)
+    def bwd(g_out):
+        g2 = np.ascontiguousarray(g_out).reshape(n * h * w, cout)
+        gk = gx = None
+        if kernel.requires_grad:
+            gk = np.empty_like(kernel.data)
+            xs = np.empty((n, h, w, cin))  # reused for every shifted slice
+            for dy in range(k):
+                for dx in range(k):
+                    np.copyto(xs, xp[:, dy : dy + h, dx : dx + w])
+                    np.matmul(xs.reshape(-1, cin).T, g2, out=gk[dy, dx])
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            gs = np.empty((n, h, w, cin))  # reused for every offset's product
+            for dy in range(k):
+                for dx in range(k):
+                    np.matmul(g2, kernel.data[dy, dx].T, out=gs.reshape(-1, cin))
+                    gxp[:, dy : dy + h, dx : dx + w] += gs
+            gx = gxp[:, pad : pad + h, pad : pad + w]
+            gx = gx[0] if squeeze else gx
+        if bias is None:
+            return (gx, gk)
+        return (gx, gk, _unbroadcast(g_out, bias.shape))
+
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _make(out[0] if squeeze else out, parents, bwd)

@@ -6,6 +6,8 @@ compute the same quantities one query at a time, from a feature map tensor
 [H, W, C], so tests can compare the two. `ensemble_features_chain` is the
 taped op chain that the fused `numerics.fourier_gather` replaces, and
 `cos_sin` with `cos`, `sin` and `concat` the chain behind its [cos | sin].
+`conv2d_per_offset` is the convolution `numerics.conv2d` replaced: one
+contiguous copy of the shifted input per kernel offset.
 """
 
 from dataclasses import dataclass
@@ -59,6 +61,48 @@ def cos_sin(a) -> Tensor:
     return _make(
         out, (a,), lambda g: (g[..., k:] * out[..., :k] - g[..., :k] * out[..., k:],)
     )
+
+
+def conv2d_per_offset(x, kernel) -> Tensor:
+    """Same-padded conv, [H,W,Cin] or [N,H,W,Cin] by [k,k,Cin,Cout]: one gemm
+    per kernel offset on a contiguous copy of the shifted padded input;
+    backward re-contracts against the retained padded input."""
+    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    k = kernel.shape[0]
+    squeeze = x.ndim == 3
+    xd = x.data[None] if squeeze else x.data
+    n, h, w, cin = xd.shape
+    cout = kernel.shape[3]
+    pad = k // 2
+    xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    flat = (n * h * w, cin)
+    out = np.zeros((n * h * w, cout))
+    for dy in range(k):
+        for dx in range(k):
+            xs = np.ascontiguousarray(xp[:, dy : dy + h, dx : dx + w, :]).reshape(flat)
+            out += xs @ kernel.data[dy, dx]
+    out = out.reshape(n, h, w, cout)
+
+    def bwd(g):
+        g2 = np.ascontiguousarray(g).reshape(n * h * w, cout)
+        gk = np.empty_like(kernel.data) if kernel.requires_grad else None
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        for dy in range(k):
+            for dx in range(k):
+                xs = np.ascontiguousarray(xp[:, dy : dy + h, dx : dx + w, :]).reshape(flat)
+                if gk is not None:
+                    gk[dy, dx] = xs.T @ g2
+                if gxp is not None:
+                    gslice = (g2 @ kernel.data[dy, dx].T).reshape(n, h, w, cin)
+                    gxp[:, dy : dy + h, dx : dx + w, :] += gslice
+        if gxp is None:
+            gx = None
+        else:
+            gx = gxp[:, pad : pad + h, pad : pad + w, :]
+            gx = gx[0] if squeeze else gx
+        return (gx, gk)
+
+    return _make(out[0] if squeeze else out, (x, kernel), bwd)
 
 
 def ensemble_features_chain(

@@ -340,6 +340,27 @@ class TestSrCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["scale-1e300", "missing-input"])
+    def test_bad_input_or_scale_fails_before_loading(
+        self, micro_checkpoint, tmp_path, capsys, monkeypatch, case
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called before the input and scale were checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_run)
+        monkeypatch.setattr(cli, "super_resolve", must_not_run)
+        inp, scale = self._write_input(tmp_path), "2"
+        if case == "scale-1e300":
+            scale = "1e300"
+        else:
+            inp = str(tmp_path / "missing.ppm")
+        code = main(["sr", inp, "--model", micro_checkpoint, "--scale", scale,
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.ppm").exists()
+
     def test_fuzzed_ppm_input_exits_cleanly(self, micro_checkpoint, tmp_path, capsys):
         # every truncation, and a seeded sample of single-bit flips, of a small PPM
         blob = Path(self._write_input(tmp_path)).read_bytes()
@@ -401,8 +422,10 @@ class TestSweepCommand:
         ["--scale", "nan"],
         ["--scale", "1e-300"],
         ["--scale", "0.5"],
+        ["--scale", "1e300"],
         ["--taus", "abc"],
-    ], ids=["samples-0", "scale-0", "scale-nan", "scale-1e-300", "scale-0.5", "taus-abc"])
+    ], ids=["samples-0", "scale-0", "scale-nan", "scale-1e-300", "scale-0.5", "scale-1e300",
+            "taus-abc"])
     def test_bad_arguments_exit2_before_loading(
         self, micro_checkpoint, tmp_path, capsys, monkeypatch, bad
     ):

@@ -1,5 +1,7 @@
 """Autodiff primitives against finite-difference and naive-loop oracles."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from linf import implicit
 from linf import numerics as nm
 from linf.errors import ConfigError, ShapeError, UsageError
 
-from .oracles import concat, cos, cos_sin, ensemble_features_chain, sin
+from .oracles import concat, conv2d_per_offset, cos, cos_sin, ensemble_features_chain, sin
+
+# the submodule; `nm.tensor` is the constructor function
+tensor_module = importlib.import_module("linf.numerics.tensor")
 
 
 def naive_conv2d(x, k):
@@ -121,6 +126,85 @@ class TestConv2d:
 
         assert rel(x.grad, numeric_grad(f, x.data)) < 1e-7
         assert rel(k.grad, numeric_grad(f, k.data)) < 1e-7
+
+
+def _conv_shapes(rng, count, couts):
+    """Seeded (x shape, cout): row and column strips first, then random shapes."""
+    shapes = [((1, 1, 1, 3), 8), ((2, 1, 37, 8), 32), ((3, 29, 1, 32), 8), ((1, 40, 40, 32), 32)]
+    for _ in range(count):
+        n, h, w = (int(e) for e in rng.integers(1, [9, 41, 41]))
+        shapes.append(((n, h, w, int(rng.choice([3, 8, 32]))), int(rng.choice(couts))))
+    return shapes
+
+
+def _conv_pair(shape, cout, rng):
+    """(fused, oracle): conv2d(x, k, b) and add(per-offset conv, b), outputs
+    and the x, k, b gradients under one random readout."""
+    arrays = [rng.normal(size=shape), rng.normal(size=(3, 3, shape[-1], cout)) / 8.0,
+              rng.normal(size=cout)]
+    seed = int(rng.integers(1 << 30))
+    fused = _readout_grads(nm.conv2d, arrays, seed)
+    oracle = _readout_grads(lambda x, k, b: nm.add(conv2d_per_offset(x, k), b), arrays, seed)
+    return fused, oracle
+
+
+class TestConv2dShiftedGemm:
+    """The copy-free conv against the per-offset-copy conv it replaced."""
+
+    # 40 rows per band puts band boundaries into most of these shapes; the
+    # default gives them one band
+    @pytest.mark.parametrize("band_rows", [40, None])
+    def test_bit_identical_to_per_offset_oracle(self, monkeypatch, band_rows):
+        if band_rows is not None:
+            monkeypatch.setattr(tensor_module, "CONV_BAND_ROWS", band_rows)
+        rng = np.random.default_rng(601)
+        for shape, cout in _conv_shapes(rng, 24, [8, 32]):
+            (out, grads), (out_o, grads_o) = _conv_pair(shape, cout, rng)
+            assert out.flags.c_contiguous
+            assert out.tobytes() == out_o.tobytes(), (shape, cout)
+            for name, g, g_o in zip(("x", "kernel", "bias"), grads, grads_o):
+                assert g.tobytes() == g_o.tobytes(), (shape, cout, name)
+
+    def test_unkept_bits_within_1e_13(self):
+        # Cout not a multiple of 8 (OpenBLAS's small-matrix kernel rounds an N
+        # tail differently from its regular kernel), and batched 1x1 images
+        # (a gemv per image in place of one gemm)
+        rng = np.random.default_rng(602)
+        cases = _conv_shapes(rng, 8, [60]) + [((2, 1, 1, 32), 32), ((5, 1, 1, 3), 8)]
+        for shape, cout in cases:
+            (out, grads), (out_o, grads_o) = _conv_pair(shape, cout, rng)
+            assert np.max(np.abs(out - out_o)) <= 1e-13, shape
+            for g, g_o in zip(grads, grads_o):
+                assert np.max(np.abs(g - g_o)) <= 1e-13, shape
+
+    def test_unbatched_input_with_bias(self):
+        rng = np.random.default_rng(603)
+        (out, grads), (out_o, grads_o) = _conv_pair((5, 7, 8), 8, rng)
+        assert out.shape == (5, 7, 8) and grads[0].shape == (5, 7, 8)
+        assert out.tobytes() == out_o.tobytes()
+        for g, g_o in zip(grads, grads_o):
+            assert g.tobytes() == g_o.tobytes()
+
+    def test_bias_is_one_tape_record(self):
+        x = nm.Tensor(np.ones((4, 4, 3)), requires_grad=True)
+        with nm.GradTape() as tape:
+            nm.conv2d(x, np.ones((3, 3, 3, 8)), np.ones(8))
+        assert len(tape) == 1
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ShapeError):
+            nm.conv2d(np.ones((4, 4, 3)), np.ones((3, 3, 3, 8)), np.ones(7))
+
+    def test_forward_pads_and_copies_no_slices(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("conv2d forward made a padded or per-offset copy")
+
+        rng = np.random.default_rng(604)
+        x, k, b = rng.normal(size=(2, 9, 11, 8)), rng.normal(size=(3, 3, 8, 8)), rng.normal(size=8)
+        expected = nm.add(conv2d_per_offset(x, k), b).data
+        monkeypatch.setattr(np, "pad", refuse)
+        monkeypatch.setattr(np, "ascontiguousarray", refuse)
+        assert np.array_equal(nm.conv2d(x, k, b).data, expected)
 
 
 class TestBackward:
