@@ -15,12 +15,14 @@ if "LINF_THREADS" in os.environ:
     os.environ.setdefault("MKL_NUM_THREADS", os.environ["LINF_THREADS"])
 
 import argparse
+import dataclasses
 import glob
 import sys
 import time
 
 import numpy as np
 
+from . import numerics as nm
 from .config import DataConfig, load_config
 from .corpus import toy_corpus
 from .errors import ConfigError, LinfError, TrainingError, UsageError
@@ -31,7 +33,6 @@ from .imaging import (
 from .pipeline import ENSEMBLE_FOURIER, ENSEMBLE_LOCAL, ScaleSpec, build_grid, super_resolve
 from .training import load_checkpoint, train
 from .verify import LEVEL_FAST, LEVEL_FULL, run_suite
-from . import telemetry
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -69,10 +70,11 @@ def _read_image_dir(path: str) -> list[Image]:
 
 def cmd_train(args) -> int:
     model_cfg, train_cfg, data_cfg = load_config(args.config)
+    # replace() runs the range checks on the overridden fields too
     if args.seed is not None:
-        train_cfg.seed = args.seed
+        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     if args.out is not None:
-        data_cfg.out_dir = args.out
+        data_cfg = dataclasses.replace(data_cfg, out_dir=args.out)
     _print_banner(
         "train",
         {**{f"model.{k}": v for k, v in model_cfg.to_dict().items()},
@@ -106,15 +108,15 @@ def cmd_sr(args) -> int:
          "weighting": model.cfg.ensemble_weighting,
          "patch_n": model.cfg.patch_side, "out": args.out},
     )
-    telemetry.counters.reset()
     start = time.perf_counter()
-    out = super_resolve(lr, args.scale, tau, model, seed=args.seed, ensemble=args.ensemble)
+    with nm.probe() as p:
+        out = super_resolve(lr, args.scale, tau, model, seed=args.seed, ensemble=args.ensemble)
     elapsed = time.perf_counter() - start
     write_image(out, args.out)
     print(
         f"generated {grid.target_height}x{grid.target_width} from {lr.height}x{lr.width}: "
-        f"{grid.rows}x{grid.cols} patches, {telemetry.counters.conditioner} conditioner passes, "
-        f"{telemetry.counters.flow_inverse} flow passes, {elapsed:.2f}s"
+        f"{grid.rows}x{grid.cols} patches, {p.passes['conditioner']} conditioner passes, "
+        f"{p.passes['flow_inverse']} flow passes, {elapsed:.2f}s"
     )
     return EXIT_OK
 
@@ -135,6 +137,14 @@ def _eval_pair(model, hr: Image, spec: ScaleSpec, tau: float, samples: int, seed
     ]
     div = diversity(outs) if len(outs) >= 2 else 0.0
     return psnr(outs[0], hr_crop, on_y_channel=True), ssim(outs[0], hr_crop), div
+
+
+def _write_csv(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write csv {path}: {exc.strerror or exc}") from exc
 
 
 def _parse_taus(text: str) -> list[float]:
@@ -158,6 +168,8 @@ def cmd_sweep(args) -> int:
     taus = _parse_taus(args.taus)
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.out:
+        check_writable(args.out, "csv")
     corpus = toy_corpus(8, 48) if args.corpus == "toy" else _read_image_dir(args.corpus)
     specs = [_pair_spec(hr, args.scale) for hr in corpus]
     ckpt = load_checkpoint(args.model)
@@ -180,13 +192,14 @@ def cmd_sweep(args) -> int:
         rows.append(f"{tau:g},{mean_psnr:.6f},{mean_ssim:.6f},{mean_div:.6f}")
     csv = "\n".join(rows) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
+        _write_csv(args.out, csv)
     print(csv, end="")
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
+    if args.out:
+        check_writable(args.out, "csv")
     ref = read_image(args.ref)
     tests = [read_image(p) for p in args.test]
     _print_banner("metrics", {"ref": args.ref, "test": list(args.test),
@@ -203,8 +216,7 @@ def cmd_metrics(args) -> int:
     print(MetricReport.CSV_HEADER)
     print(report.csv_row())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(MetricReport.CSV_HEADER + "\n" + report.csv_row() + "\n")
+        _write_csv(args.out, MetricReport.CSV_HEADER + "\n" + report.csv_row() + "\n")
     return EXIT_OK
 
 

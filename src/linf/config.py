@@ -23,6 +23,14 @@ class DataConfig:
     corpus_size: int = 96
     out_dir: str = "runs/default"
 
+    def __post_init__(self):
+        for name in ("corpus", "out_dir"):
+            if not getattr(self, name):
+                raise ConfigError(f"data.{name} must not be empty")
+        for name in ("corpus_count", "corpus_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"data.{name} must be >= 1, got {getattr(self, name)}")
+
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig}
 

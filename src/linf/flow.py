@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from . import numerics as nm
-from . import telemetry
 from .errors import ShapeError, UsageError
 from .implicit import ConditionerOutput
 from .numerics.linalg import LuFactors, lu_factor
@@ -106,7 +105,7 @@ class FlowModel:
     def forward(self, m: nm.Tensor, cond: ConditionerOutput) -> tuple[nm.Tensor, nm.Tensor]:
         """Map patches [N,D] to latents; returns (z, logdet [N])."""
         h = self._check(m, cond)
-        telemetry.counters.flow_forward += h.shape[0]
+        nm.count("flow_forward", h.shape[0])
         logdet = nm.tensor(np.zeros(h.shape[0]))
         for k, w in enumerate(self.weights):
             h = nm.affine(h, nm.transpose(w), self.biases[k])
@@ -118,7 +117,7 @@ class FlowModel:
     def inverse(self, z: nm.Tensor, cond: ConditionerOutput) -> nm.Tensor:
         """Exact layer-by-layer inversion of forward."""
         h = self._check(z, cond)
-        telemetry.counters.flow_inverse += h.shape[0]
+        nm.count("flow_inverse", h.shape[0])
         for k in range(self.num_layers - 1, -1, -1):
             h = nm.div(nm.sub(h, cond.phi[k]), cond.alpha[k])
             h = nm.solve_rows(nm.sub(h, self.biases[k]), self.weights[k], lu=self.lu(k))

@@ -248,16 +248,16 @@ def write_image(img: Image, path: str) -> None:
         raise UsageError(f"cannot write image {path}: {exc.strerror or exc}") from exc
 
 
-def check_writable(path: str) -> None:
-    """Raise what write_image would raise for an unusable path before any
-    output exists: UsageError for a directory or a missing parent directory,
-    ImageFormatError for a PNG path without Pillow."""
+def check_writable(path: str, what: str = "image") -> None:
+    """Raise what writing `what` to `path` would raise, before any output
+    exists: UsageError for a directory or a missing parent directory,
+    ImageFormatError for a PNG image path without Pillow."""
     if os.path.isdir(path):
-        raise UsageError(f"cannot write image {path}: is a directory")
+        raise UsageError(f"cannot write {what} {path}: is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        raise UsageError(f"cannot write image {path}: no directory {parent}")
-    if str(path).lower().endswith(".png"):
+        raise UsageError(f"cannot write {what} {path}: no directory {parent}")
+    if what == "image" and str(path).lower().endswith(".png"):
         _pillow()
 
 

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numerics as nm
-from . import telemetry
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -149,7 +148,7 @@ def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
     """
     if kappa.ndim == 1:
         kappa = kappa.reshape(1, kappa.shape[0])
-    telemetry.counters.conditioner += kappa.shape[0]
+    nm.count("conditioner", kappa.shape[0])
     h = nm.affine(kappa, params["trunk.w1"], params["trunk.b1"], relu=True)
     h = nm.affine(h, params["trunk.w2"], params["trunk.b2"], relu=True)
     out = nm.affine(h, params["head.w"], params["head.b"])

@@ -51,6 +51,8 @@ class ModelConfig:
             raise ConfigError("trunk_width and phase_hidden must be >= 1")
         if self.ensemble_weighting not in (WEIGHTING_FULL, WEIGHTING_NONE):
             raise ConfigError(f"unknown ensemble_weighting {self.ensemble_weighting!r}")
+        if not 0 <= self.flow_init_std < math.inf:
+            raise ConfigError("flow_init_std must be finite and >= 0")
 
     @property
     def patch_dim(self) -> int:

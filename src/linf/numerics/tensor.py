@@ -4,31 +4,75 @@ Gradients are recorded only while a :class:`GradTape` is active; outside a
 tape every operation is a plain numpy computation. The tape owns the graph:
 one (output, parents, backward) record per op, in creation order, which is
 already a valid topological order, so backward replays it in reverse and
-releases each record once the sweep has passed it.
+releases each record once the sweep has passed it. A :func:`probe` block
+reads pass counts and kink margins out of whatever runs inside it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..errors import ConfigError, ShapeError, UsageError
 from .linalg import LuFactors, lu_factor
 
-_state = threading.local()
+_state = threading.local()  # this thread's open tapes and probes
 
 
-def _tape_stack() -> list:
-    if not hasattr(_state, "stack"):
-        _state.stack = []
-    return _state.stack
+def _stack(name: str) -> list:
+    stack = getattr(_state, name, None)
+    if stack is None:
+        stack = []
+        setattr(_state, name, stack)
+    return stack
 
 
 def active_tape() -> "GradTape | None":
-    stack = _tape_stack()
+    stack = _stack("tapes")
     return stack[-1] if stack else None
+
+
+@dataclass(eq=False)  # nested probes are told apart by identity
+class Probe:
+    """What ran inside a probe() block: per-query pass counts by name (a
+    batched pass over Q rows counts Q), and the smallest distance of any
+    kinked op's input (relu, affine with relu, absolute, clamp) from its
+    kink."""
+
+    passes: dict[str, int] = field(default_factory=dict)
+    kink_margin: float = np.inf
+
+
+@contextmanager
+def probe() -> Iterator[Probe]:
+    """Open a Probe for the block; probes nest and each sees all inner work.
+    Probing reads inputs and never changes a result bit."""
+    p = Probe()
+    stack = _stack("probes")
+    stack.append(p)
+    try:
+        yield p
+    finally:
+        stack.remove(p)
+
+
+def count(name: str, n: int) -> None:
+    """Report n per-query passes of `name` to every open probe."""
+    for p in getattr(_state, "probes", ()):
+        p.passes[name] = p.passes.get(name, 0) + n
+
+
+def _kink_margin(x: np.ndarray, *kinks: float) -> None:
+    """Report x's smallest distance from any of its op's kinks to every open probe."""
+    probes = getattr(_state, "probes", None)
+    if probes:
+        margin = min(float(np.abs(x - k).min(initial=np.inf)) for k in kinks)
+        for p in probes:
+            p.kink_margin = min(p.kink_margin, margin)
 
 
 class Tensor:
@@ -96,11 +140,11 @@ class GradTape:
         self._records: list[tuple[Tensor, tuple, Callable] | None] = []
 
     def __enter__(self) -> "GradTape":
-        _tape_stack().append(self)
+        _stack("tapes").append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        stack = _tape_stack()
+        stack = _stack("tapes")
         if not stack or stack[-1] is not self:
             raise UsageError("GradTape exited out of order")
         stack.pop()
@@ -236,24 +280,13 @@ def exp(a) -> Tensor:
 
 def absolute(a) -> Tensor:
     a = _as_tensor(a)
+    _kink_margin(a.data, 0.0)
     return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
-
-
-_relu_observer = None
-
-
-def set_relu_observer(fn) -> None:
-    """Diagnostic hook receiving every relu pre-activation array (or None).
-
-    Finite-difference audits use it to confirm no unit sits near the kink."""
-    global _relu_observer
-    _relu_observer = fn
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    if _relu_observer is not None:
-        _relu_observer(a.data)
+    _kink_margin(a.data, 0.0)
     return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
 
 
@@ -324,8 +357,8 @@ def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
 def affine(x, w, b, relu: bool = False) -> Tensor:
     """x @ w + b, optionally through relu, in one output buffer.
 
-    Same values and gradients as relu(add(matmul(x, w), b)); the relu
-    observer sees the pre-activation."""
+    Same values and gradients as relu(add(matmul(x, w), b)); a probe reads
+    the pre-activation's kink margin."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"affine expects 2-D operands, got {x.shape} @ {w.shape}")
@@ -334,8 +367,7 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
     out = x.data @ w.data
     out += b.data
     if relu:
-        if _relu_observer is not None:
-            _relu_observer(out.copy())
+        _kink_margin(out, 0.0)
         np.maximum(out, 0.0, out=out)
 
     def bwd(g):
@@ -348,6 +380,7 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
 
 def clamp(a, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
+    _kink_margin(a.data, lo, hi)
     return _make(
         np.clip(a.data, lo, hi),
         (a,),

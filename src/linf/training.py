@@ -57,14 +57,31 @@ class TrainConfig:
     flips: bool = True
 
     def __post_init__(self):
-        if not (0 < self.scale_min <= self.scale_max):
-            raise ConfigError("scale range must satisfy 0 < low <= high")
-        if self.lambda_nll < 0 or self.lambda_l1 < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.stage not in (1, 2):
-            raise ConfigError("stage must be 1 or 2")
-        if self.lr_crop < 2:
-            raise ConfigError("lr_crop must be >= 2")
+        # field -> (in range, the range); NaN fails every comparison
+        inf = math.inf
+        bounds = {
+            "lr_crop": (self.lr_crop >= 2, ">= 2"),
+            "scale_max": (0 < self.scale_max < inf, "finite and > 0"),
+            "scale_min": (0 < self.scale_min <= self.scale_max, "> 0 and <= scale_max"),
+            "pairs_per_image": (self.pairs_per_image is None or self.pairs_per_image >= 0,
+                                ">= 0 (0: lr_crop^2)"),
+            "batch": (self.batch >= 1, ">= 1"),
+            "lambda_nll": (0 <= self.lambda_nll < inf, "finite and >= 0"),
+            "lambda_l1": (0 <= self.lambda_l1 < inf, "finite and >= 0"),
+            "stage": (self.stage in (1, 2), "1 or 2"),
+            "learning_rate": (0 < self.learning_rate < inf, "finite and > 0"),
+            "lr_halve_at": (all(s >= 1 for s in self.lr_halve_at), "steps >= 1"),
+            "steps": (self.steps >= 0, ">= 0"),
+            "steps_per_epoch": (self.steps_per_epoch >= 1, ">= 1"),
+            "adam_beta1": (0 <= self.adam_beta1 < 1, "in [0, 1)"),
+            "adam_beta2": (0 <= self.adam_beta2 < 1, "in [0, 1)"),
+            "adam_eps": (0 < self.adam_eps < inf, "finite and > 0"),
+            "seed": (self.seed >= 0, ">= 0"),
+            "dequant": (0 <= self.dequant < inf, "finite and >= 0"),
+        }
+        for name, (ok, want) in bounds.items():
+            if not ok:
+                raise ConfigError(f"train.{name} must be {want}, got {getattr(self, name)!r}")
 
     @property
     def pairs(self) -> int:
@@ -135,13 +152,8 @@ def make_batch(
     )
 
 
-def loss_components(
-    batch: Batch, model: Model, cfg: TrainConfig, extras: dict | None = None
-) -> tuple[nm.Tensor, float, float]:
-    """(total loss tensor, nll value, l1 value) for one batch.
-
-    `extras`, when given, receives diagnostics (currently the minimum |tau=0
-    residual|, used by gradient audits to stay clear of the L1 kink)."""
+def loss_components(batch: Batch, model: Model, cfg: TrainConfig) -> tuple[nm.Tensor, float, float]:
+    """(total loss tensor, nll value, l1 value) for one batch."""
     b, h, w, _ = batch.lr.shape
     params = model.implicit_params
     fm = encode_batch(nm.tensor(batch.lr), model.cfg, model.encoder_params)  # [B,h,w,C]
@@ -164,8 +176,6 @@ def loss_components(
     if cfg.stage == 2:
         mean_patch = model.flow.inverse(nm.tensor(np.zeros_like(targets)), cond)
         residual = nm.sub(mean_patch, nm.tensor(targets))
-        if extras is not None:
-            extras["min_abs_residual"] = float(np.abs(residual.data).min())
         l1 = nm.tmean(nm.absolute(residual))
         total = nm.add(total, nm.mul(cfg.lambda_l1, l1))
         l1_value = float(l1.data)
@@ -312,11 +322,19 @@ def _open_log(path: str, resume_step: int | None):
     the checkpoint) are dropped, so the log matches an uninterrupted run."""
     kept = [LOG_HEADER + "\n"]
     if resume_step is not None and os.path.exists(path):
-        with open(path) as fh:
-            rows = fh.readlines()[1:]
-        for row in rows:
+        try:
+            with open(path) as fh:
+                rows = fh.readlines()[1:]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not a text log: {exc}") from None
+        for lineno, row in enumerate(rows, 2):
             # rows are in step order; a row cut short by a crash ends the log
-            if not row.endswith("\n") or int(row.split(",", 1)[0]) > resume_step:
+            if not row.endswith("\n"):
+                break
+            step = row.split(",", 1)[0]
+            if not step.isdecimal():
+                raise ConfigError(f"{path}:{lineno}: step {step!r} is not an integer")
+            if int(step) > resume_step:
                 break
             kept.append(row)
     fh = open(path, "w")

@@ -1,6 +1,7 @@
 """CLI exit codes, banners, and CSV schemas (all in-process via main())."""
 
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,9 +10,9 @@ import pytest
 
 from linf import cli
 from linf.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, default_tau, main
-from linf.config import DataConfig, build_configs, load_config, parse_config_text
+from linf.config import _FIELD_TYPES, DataConfig, build_configs, load_config, parse_config_text
 from linf.corpus import toy_corpus
-from linf.errors import ConfigError
+from linf.errors import ConfigError, UsageError
 from linf.imaging import Image, write_image
 from linf.model import Model, ModelConfig
 from linf.training import TrainConfig, save_checkpoint
@@ -175,6 +176,13 @@ class TestShippedConfigs:
         assert (data_cfg.corpus, data_cfg.corpus_count, data_cfg.corpus_size) == ("toy", 32, 96)
 
 
+def _with_value(text: str, section: str, key: str, raw: str) -> str:
+    """`text` with `key = raw` set in [section]."""
+    lines = [ln for ln in text.splitlines() if ln.partition("=")[0].strip() != key]
+    at = lines.index(f"[{section}]") + 1
+    return "\n".join(lines[:at] + [f"{key} = {raw}"] + lines[at:])
+
+
 class TestDefaultTau:
     def test_bands(self):
         assert default_tau(2.0) == 0.5
@@ -219,6 +227,58 @@ class TestTrainCommand:
         assert "trunk_width (24 vs 16)" in capsys.readouterr().err
         code = main(["train", "--config", smoke_config_path, "--out", str(out), "--resume", ckpt])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("key,raw", [
+        ("batch", "0"), ("pairs_per_image", "-1"), ("corpus_count", "0"),
+        ("steps_per_epoch", "0"), ("scale_max", "inf"), ("steps", "-1"), ("dequant", "-1"),
+        ("learning_rate", "nan"), ("out_dir", ""),
+    ])
+    def test_out_of_range_value_exit2(self, tmp_path, capsys, key, raw):
+        section = "data" if key in ("corpus_count", "out_dir") else "train"
+        path = tmp_path / "bad.cfg"
+        path.write_text(_with_value(SMOKE_CONFIG, section, key, raw))
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")]
+                    if key != "out_dir" else ["train", "--config", str(path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}.{key}") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--out", "")])
+    def test_overrides_range_checked(self, smoke_config_path, capsys, flag, value):
+        assert main(["train", "--config", smoke_config_path, flag, value]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in runs that exit 3
+    def test_fuzzed_config_values_exit_cleanly(self, tmp_path, monkeypatch, capsys):
+        # one key of a one-step micro desk config at a time: edge values for
+        # every key, and seeded random values for the numeric ones
+        monkeypatch.chdir(tmp_path)  # relative out_dir values land here
+        base = dict(parse_config_text((CONFIG_DIR / "desk.cfg").read_text()))
+        base.update(parse_config_text(SMOKE_CONFIG))
+        base.update({"train.steps": "1", "train.steps_per_epoch": "1", "train.batch": "2",
+                     "train.lr_crop": "8", "data.corpus_count": "2", "data.out_dir": "run"})
+        path = tmp_path / "fuzz.cfg"
+        path.write_text("\n".join(f"{k} = {v}" for k, v in base.items()))
+        assert main(["train", "--config", str(path)]) == EXIT_OK  # the unmutated base runs
+        rng = np.random.default_rng(11)
+        kinds = {f"{s}.{k}": kind for s, types in _FIELD_TYPES.items() for k, kind in types.items()}
+        for key, kind in kinds.items():
+            values = ["0", "1", "-1", "nan", "inf", "-inf", "1e300", "", "x"]
+            if kind is int or kind == int | None:
+                values += [str(v) for v in rng.integers(-3, 4, size=3)]
+            elif kind is float:
+                values += [repr(float(v)) for v in rng.choice([-1, 1], 3) * 10.0 ** rng.uniform(-12, 12, 3)]
+            for raw in values:
+                path.write_text("\n".join(f"{k} = {v}" for k, v in {**base, key: raw}.items()))
+                start = time.perf_counter()
+                try:
+                    code = main(["train", "--config", str(path)])
+                except Exception as exc:  # noqa: BLE001 - report the case
+                    pytest.fail(f"{key} = {raw!r}: {exc!r}")
+                assert code in (EXIT_OK, EXIT_USAGE, EXIT_RUNTIME), (key, raw)
+                assert time.perf_counter() - start < 5.0, (key, raw)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_same_seed_identical_checkpoints(self, smoke_config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -442,6 +502,26 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["missing-dir", "directory"])
+    def test_unwritable_out_exit2_before_loading(
+        self, micro_checkpoint, tmp_path, capsys, monkeypatch, case
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called before --out was checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_run)
+        monkeypatch.setattr(cli, "toy_corpus", must_not_run)
+        out = tmp_path / "nodir" / "x.csv" if case == "missing-dir" else tmp_path
+        code = main(["sweep", "--model", micro_checkpoint, "--corpus", "toy",
+                     "--scale", "2", "--taus", "0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write csv {out}") and err.count("\n") == 1
+
+    def test_failed_csv_write_exit2(self, tmp_path):
+        with pytest.raises(UsageError, match="cannot write csv"):
+            cli._write_csv(str(tmp_path / "nodir" / "x.csv"), "tau\n")
+
     def test_trained_model_tau_ordering_and_diversity_ratio(self, tmp_path, capsys):
         # mean output maximizes PSNR; diversity scales linearly in tau. The
         # linearity measurement needs samples clear of the [0,1] clamp, so the
@@ -490,6 +570,18 @@ class TestMetricsCommand:
         assert out[-2] == "image_id,scale,tau,psnr_y,psnr_rgb,ssim,diversity"
         assert out[-1].startswith("ref,2,0.5,")
 
+
+    @pytest.mark.parametrize("case", ["missing-dir", "directory"])
+    def test_unwritable_out_exit2_before_reading(self, tmp_path, capsys, monkeypatch, case):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called before --out was checked")
+
+        monkeypatch.setattr(cli, "read_image", must_not_run)
+        out = tmp_path / "nodir" / "m.csv" if case == "missing-dir" else tmp_path
+        code = main(["metrics", "--ref", "r.ppm", "--test", "t.ppm", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write csv {out}") and err.count("\n") == 1
 
     def test_missing_ref_exit2(self, tmp_path, capsys):
         test = tmp_path / "t.ppm"

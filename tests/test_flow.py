@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from linf import numerics as nm
-from linf import telemetry
 from linf.errors import UsageError
 from linf.flow import LOG_2PI, FlowModel, latents
 from linf.numerics import finite_diff_jacobian, lu_factor
@@ -202,11 +201,11 @@ class TestCounters:
     def test_row_counting(self):
         flow = identity_flow()
         cond = identity_cond(flow.num_layers, flow.d, batch=7)
-        telemetry.counters.reset()
-        flow.forward(nm.tensor(np.zeros((7, flow.d))), cond)
-        flow.inverse(nm.tensor(np.zeros((7, flow.d))), cond)
-        assert telemetry.counters.flow_forward == 7
-        assert telemetry.counters.flow_inverse == 7
+        with nm.probe() as p:
+            flow.forward(nm.tensor(np.zeros((7, flow.d))), cond)
+            flow.inverse(nm.tensor(np.zeros((7, flow.d))), cond)
+        assert p.passes["flow_forward"] == 7
+        assert p.passes["flow_inverse"] == 7
 
 
 class TestGradientsThroughFlow:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from linf import pipeline, telemetry
+from linf import numerics as nm
+from linf import pipeline
 from linf.errors import UsageError
 from linf.imaging import Image, bilinear_upsample
 from linf.pipeline import (
@@ -267,6 +268,19 @@ class TestSuperResolve:
         out = super_resolve(lr, 1.0, 0.0, model)
         np.testing.assert_allclose(out.data, lr.data, atol=1e-12)
 
+    @pytest.mark.parametrize("ensemble", [pipeline.ENSEMBLE_FOURIER, ENSEMBLE_LOCAL])
+    @pytest.mark.parametrize("tau,seed", [(0.0, None), (0.6, 4)])
+    def test_probe_leaves_output_bits(self, ensemble, tau, seed):
+        model = micro_model(seed=26)
+        head = model.implicit_params.t["head.w"]
+        head.assign_(np.random.default_rng(81).normal(size=head.shape) * 0.1)
+        lr = Image(np.random.default_rng(82).random((7, 6, 3)))
+        plain = super_resolve(lr, 2.5, tau, model, ensemble=ensemble, seed=seed)
+        with nm.probe() as p:
+            probed = super_resolve(lr, 2.5, tau, model, ensemble=ensemble, seed=seed)
+        assert p.passes["conditioner"] > 0 and p.kink_margin < np.inf
+        assert probed.data.tobytes() == plain.data.tobytes()
+
     def test_pass_counts_fourier_vs_local(self):
         model = micro_model(seed=25, patch_side=3)
         rng = np.random.default_rng(80)
@@ -274,15 +288,15 @@ class TestSuperResolve:
         spec = ScaleSpec(2.0, 5, 4)
         grid = build_grid(spec, 3)
 
-        telemetry.counters.reset()
-        super_resolve(lr, 2.0, 0.0, model)
-        assert telemetry.counters.conditioner == grid.num_patches
-        assert telemetry.counters.flow_inverse == grid.num_patches
+        with nm.probe() as p:
+            super_resolve(lr, 2.0, 0.0, model)
+        assert p.passes["conditioner"] == grid.num_patches
+        assert p.passes["flow_inverse"] == grid.num_patches
 
-        telemetry.counters.reset()
-        super_resolve(lr, 2.0, 0.0, model, ensemble=ENSEMBLE_LOCAL)
-        assert telemetry.counters.conditioner == 4 * grid.num_patches
-        assert telemetry.counters.flow_inverse == 4 * grid.num_patches
+        with nm.probe() as p:
+            super_resolve(lr, 2.0, 0.0, model, ensemble=ENSEMBLE_LOCAL)
+        assert p.passes["conditioner"] == 4 * grid.num_patches
+        assert p.passes["flow_inverse"] == 4 * grid.num_patches
 
     def test_local_ensemble_at_neighbor_center_matches_single_pass(self):
         # weight (1,0,0,0): the blend collapses to the single-neighbor

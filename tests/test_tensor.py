@@ -1,6 +1,7 @@
 """Autodiff primitives against finite-difference and naive-loop oracles."""
 
 import importlib
+import threading
 
 import numpy as np
 import pytest
@@ -362,20 +363,6 @@ class TestFusedOps:
         assert fused.tobytes() == chain.tobytes()
         assert g_fused.tobytes() == g_chain.tobytes()
 
-    def test_affine_relu_observer_sees_preactivation(self):
-        rng = np.random.default_rng(97)
-        x, w, b = rng.normal(size=(6, 5)), rng.normal(size=(5, 4)), rng.normal(size=4)
-        seen = []
-        nm.set_relu_observer(seen.append)
-        try:
-            out = nm.affine(x, w, b, relu=True)
-            nm.affine(x, w, b)
-        finally:
-            nm.set_relu_observer(None)
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], x @ w + b)
-        assert seen[0].min() < 0.0 and out.data.min() == 0.0
-
     def test_affine_shape_mismatch(self):
         with pytest.raises(ShapeError):
             nm.affine(np.ones((2, 3)), np.ones((2, 3)), np.ones(3))
@@ -499,3 +486,71 @@ class TestStructureOps:
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
+
+
+# inputs on a grid of quarters, so every distance below is exact
+_KINK_INPUT = np.array([[-1.5, 0.75, 2.25], [3.5, -0.25, 1.0]])
+
+
+class TestProbe:
+    def test_counts_do_not_leak_between_blocks(self):
+        with nm.probe() as first:
+            nm.count("conditioner", 5)
+            nm.count("conditioner", 2)
+        nm.count("conditioner", 100)  # no probe open: reported to no one
+        with nm.probe() as second:
+            nm.count("flow_inverse", 3)
+        assert first.passes == {"conditioner": 7}
+        assert second.passes == {"flow_inverse": 3}
+        assert second.kink_margin == np.inf
+
+    def test_nested_probes_both_see_inner_work(self):
+        with nm.probe() as outer:
+            nm.count("conditioner", 1)
+            nm.relu(np.array([2.0, -3.0]))
+            with nm.probe() as inner:
+                nm.count("conditioner", 4)
+                nm.absolute(np.array([0.5, -1.0]))
+            nm.count("flow_forward", 2)
+        assert inner.passes == {"conditioner": 4}
+        assert inner.kink_margin == 0.5
+        assert outer.passes == {"conditioner": 5, "flow_forward": 2}
+        assert outer.kink_margin == 0.5
+
+    @pytest.mark.parametrize("op,want", [
+        (nm.relu, 0.25),
+        (nm.absolute, 0.25),
+        (lambda a: nm.clamp(a, -1.0, 3.0), 0.5),  # 3.5 is 0.5 above hi, -1.5 0.5 below lo
+        (lambda a: nm.clamp(a, -2.0, 2.0), 0.25),  # 2.25 is 0.25 above hi
+    ], ids=["relu", "absolute", "clamp-outside", "clamp-inside"])
+    def test_kink_margin_is_the_hand_computed_minimum(self, op, want):
+        with nm.probe() as p:
+            op(_KINK_INPUT)
+        assert p.kink_margin == want
+        assert p.passes == {}
+
+    def test_affine_relu_margin_reads_the_preactivation(self):
+        # x @ w + b = [[-0.75, 0.5], [1.25, -1.5]]; the output after relu
+        # holds exact zeros, so a margin read after the write would be 0
+        x, w, b = np.eye(2), np.array([[-1.0, 0.0], [1.0, -2.0]]), np.array([0.25, 0.5])
+        with nm.probe() as p:
+            out = nm.affine(x, w, b, relu=True)
+        assert p.kink_margin == 0.5
+        assert out.data.min() == 0.0
+        with nm.probe() as p:
+            nm.affine(x, w, b)  # no relu, no kink
+        assert p.kink_margin == np.inf
+
+    def test_empty_input_reports_no_margin(self):
+        with nm.probe() as p:
+            nm.relu(np.zeros((0, 3)))
+            nm.clamp(np.zeros(0), -1.0, 1.0)
+        assert p.kink_margin == np.inf
+
+    def test_probes_are_per_thread(self):
+        with nm.probe() as p:
+            worker = threading.Thread(target=lambda: (nm.count("conditioner", 9),
+                                                      nm.relu(np.array([0.0]))))
+            worker.start()
+            worker.join()
+        assert p.passes == {} and p.kink_margin == np.inf

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from linf import numerics as nm
 from linf import training
 from linf.corpus import toy_corpus
 from linf.errors import ConfigError, TrainingError
@@ -122,6 +123,31 @@ class TestLoss:
         assert l1 == 0.0
         assert float(total.data) == pytest.approx(cfg.lambda_nll * nll, rel=1e-12)
 
+    def test_probe_leaves_stage2_gradient_bits(self):
+        corpus = toy_corpus(4, 32, seed=13)
+        cfg = tiny_train_cfg(stage=2)
+        model = Model.create(micro_config(), seed=4)
+        head = model.implicit_params.t["head.w"]
+        head.assign_(np.random.default_rng(9).normal(size=head.shape) * 0.05)
+        batch = make_batch(corpus, cfg, np.random.default_rng(10))
+
+        def grads():
+            for p in model.parameters().values():
+                p.zero_grad()
+            with nm.GradTape() as tape:
+                total, _, _ = loss_components(batch, model, cfg)
+            tape.backward(total)
+            return {k: p.grad.view(np.int64).copy() for k, p in model.parameters().items()}
+
+        plain = grads()
+        with nm.probe() as p:
+            probed = grads()
+        assert p.passes["flow_forward"] == p.passes["flow_inverse"] == batch.coords.shape[0]
+        assert 0.0 < p.kink_margin < np.inf
+        assert plain.keys() == probed.keys()
+        for k in plain:
+            np.testing.assert_array_equal(probed[k], plain[k], err_msg=k)
+
     def test_loss_finite_at_init_for_toy_batches(self):
         corpus = toy_corpus(8, 32, seed=12)
         cfg = tiny_train_cfg(stage=2)
@@ -199,6 +225,29 @@ class TestTrainLoop:
         assert [row.split(",")[0] for row in log.splitlines()[1:]] == list("123456")
         assert log == (tmp_path / "full" / "train_log.csv").read_text()
 
+    @pytest.mark.parametrize("row", ["xx,1,2,3,4,5\n", "\n", "-2,1,2,3,4,5\n", "2.0,1\n"])
+    def test_resume_rejects_a_log_row_without_an_integer_step(self, tmp_path, row):
+        corpus = toy_corpus(4, 32, seed=16)
+        cfg = tiny_train_cfg(steps=6, steps_per_epoch=3)
+        run = tmp_path / "run"
+        train(corpus, cfg, micro_config(), out_dir=str(run))
+        log = run / "train_log.csv"
+        lines = log.read_text().splitlines(keepends=True)
+        lines[2] = row
+        log.write_text("".join(lines))
+        with pytest.raises(ConfigError, match=r"train_log\.csv:3: step .* is not an integer"):
+            train(corpus, cfg, None, out_dir=str(run), resume=str(run / "ckpt_epoch001.linf"))
+        assert log.read_text() == "".join(lines)  # left as it was
+
+    def test_resume_rejects_a_binary_log(self, tmp_path):
+        corpus = toy_corpus(4, 32, seed=16)
+        cfg = tiny_train_cfg(steps=3, steps_per_epoch=3)
+        run = tmp_path / "run"
+        train(corpus, cfg, micro_config(), out_dir=str(run))
+        (run / "train_log.csv").write_bytes(b"step\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match="not a text log"):
+            train(corpus, cfg, None, out_dir=str(run), resume=str(run / "ckpt_epoch001.linf"))
+
     def test_resume_rejects_a_different_model_config(self, tmp_path):
         corpus = toy_corpus(4, 32, seed=16)
         train(corpus, tiny_train_cfg(steps=4), micro_config(), out_dir=str(tmp_path))
@@ -254,6 +303,36 @@ class TestTrainLoop:
         assert lrs[:2] == [1e-3, 1e-3]
         assert lrs[2:5] == [5e-4, 5e-4, 5e-4]
         assert lrs[5:] == [2.5e-4, 2.5e-4, 2.5e-4]
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("field,value", [
+        ("batch", 0), ("pairs_per_image", -1), ("steps_per_epoch", 0),
+        ("scale_max", math.inf), ("scale_max", math.nan), ("scale_min", 0.0),
+        ("steps", -1), ("dequant", -1.0), ("dequant", math.inf),
+        ("learning_rate", math.nan), ("learning_rate", 0.0), ("lambda_nll", math.nan),
+        ("lambda_l1", math.inf), ("adam_beta1", 1.0), ("adam_beta2", -0.1),
+        ("adam_eps", 0.0), ("seed", -1), ("lr_halve_at", (5, 0)), ("lr_crop", 1),
+        ("stage", 3),
+    ])
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=f"train.{field} must be"):
+            tiny_train_cfg(**{field: value})
+
+    def test_edges_admitted(self):
+        cfg = tiny_train_cfg(steps=0, pairs_per_image=0, lambda_nll=0.0, lambda_l1=0.0,
+                             adam_beta1=0.0, adam_beta2=0.0, dequant=0.0, seed=0,
+                             lr_halve_at=(), scale_min=4.0, scale_max=4.0)
+        assert cfg.pairs == 36
+
+    def test_checkpoint_header_checked(self, tmp_path):
+        cfg = tiny_train_cfg()
+        cfg.learning_rate = math.nan  # assignment skips the checks; the loader must not
+        path = str(tmp_path / "nan.linf")
+        save_checkpoint(path, Model.create(micro_config(), seed=0), cfg, 0, 0,
+                        np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="train.learning_rate must be"):
+            load_checkpoint(path)
 
 
 class TestCheckpointIO:
