@@ -90,9 +90,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_sr(args) -> int:
     tau = args.tau if args.tau is not None else default_tau(args.scale)
-    # the output, input and scale are checked before the model is loaded
+    # the seed, output, input and scale are checked before the model is loaded
+    _check_seed(args.seed)
     check_writable(args.out)
     lr = read_image(args.input)
     spec = ScaleSpec(args.scale, lr.height, lr.width)
@@ -168,6 +174,7 @@ def cmd_sweep(args) -> int:
     taus = _parse_taus(args.taus)
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    _check_seed(args.seed)
     if args.out:
         check_writable(args.out, "csv")
     corpus = toy_corpus(8, 48) if args.corpus == "toy" else _read_image_dir(args.corpus)

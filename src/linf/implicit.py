@@ -143,23 +143,20 @@ def ensemble_features(
 def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
     """MLP trunk over kappa ([Q, 8K] or [8K]) producing per-layer (alpha, phi).
 
-    The head output is sliced per layer as contiguous (alpha_pre_k, phi_k)
-    blocks of D each, k ascending.
+    The head output holds per layer contiguous (alpha_pre_k, phi_k) blocks
+    of D each, k ascending; one op (`numerics.conditioner_head`) clamps and
+    exponentiates the alpha_pre blocks and hands out the phi blocks as views.
     """
     if kappa.ndim == 1:
         kappa = kappa.reshape(1, kappa.shape[0])
     nm.count("conditioner", kappa.shape[0])
     h = nm.affine(kappa, params["trunk.w1"], params["trunk.b1"], relu=True)
     h = nm.affine(h, params["trunk.w2"], params["trunk.b2"], relu=True)
-    out = nm.affine(h, params["head.w"], params["head.b"])
-    d = params.cfg.patch_dim
-    alpha_pre, alpha, phi = [], [], []
-    for k in range(params.cfg.flow_layers):
-        pre = nm.clamp(out[:, 2 * k * d : (2 * k + 1) * d], -ALPHA_CLAMP, ALPHA_CLAMP)
-        alpha_pre.append(pre)
-        alpha.append(nm.exp(pre))
-        phi.append(out[:, (2 * k + 1) * d : (2 * k + 2) * d])
-    return ConditionerOutput(alpha_pre, alpha, phi)
+    # the head output takes over h's name, so without a tape the trunk
+    # output is freed before conditioner_head allocates its two buffers
+    h = nm.affine(h, params["head.w"], params["head.b"])
+    return ConditionerOutput(*nm.conditioner_head(
+        h, params.cfg.flow_layers, params.cfg.patch_dim, ALPHA_CLAMP))
 
 
 def condition(

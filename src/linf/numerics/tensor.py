@@ -40,8 +40,8 @@ def active_tape() -> "GradTape | None":
 class Probe:
     """What ran inside a probe() block: per-query pass counts by name (a
     batched pass over Q rows counts Q), and the smallest distance of any
-    kinked op's input (relu, affine with relu, absolute, clamp) from its
-    kink."""
+    kinked op's input (relu, affine with relu, absolute, and the clamp in
+    conditioner_head) from its kink."""
 
     passes: dict[str, int] = field(default_factory=dict)
     kink_margin: float = np.inf
@@ -131,9 +131,11 @@ class GradTape:
     """Ordered record of taped operations; context manager.
 
     Creation order of op outputs is a topological order of the graph, so the
-    reverse sweep visits every node after all of its consumers. Each record
-    is released as soon as the sweep has passed it, so a tape runs backward
-    once; the record count (len) stays as it was.
+    reverse sweep visits every node after all of its consumers. A record
+    with several outputs gets one gradient per output, None for an output
+    that received none. Each record is released as soon as the sweep has
+    passed it, so a tape runs backward once; the record count (len) stays
+    as it was.
     """
 
     def __init__(self):
@@ -152,8 +154,10 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _record(self, out: Tensor, parents: tuple, backward_fn: Callable) -> None:
-        out.requires_grad = True
+    def _record(self, out: Tensor | tuple[Tensor, ...], parents: tuple,
+                backward_fn: Callable) -> None:
+        for o in out if isinstance(out, tuple) else (out,):
+            o.requires_grad = True
         self._records.append((out, parents, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
@@ -170,10 +174,15 @@ class GradTape:
         for i in range(len(records) - 1, -1, -1):
             out, parents, backward_fn = records[i]
             records[i] = None
-            entry = pending.pop(id(out), None)
-            if entry is None:
-                continue
-            for parent, pg in zip(parents, backward_fn(entry[1])):
+            if isinstance(out, Tensor):
+                g = pending.pop(id(out), (out, None))[1]
+                if g is None:
+                    continue
+            else:  # several outputs: None for each one that received no gradient
+                g = [pending.pop(id(o), (o, None))[1] for o in out]
+                if all(x is None for x in g):
+                    continue
+            for parent, pg in zip(parents, backward_fn(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 prev = pending.get(id(parent))
@@ -201,9 +210,10 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: tuple, backward_fn: Callable) -> Tensor:
-    """Create an op output, recording it when a tape is active."""
-    out = Tensor(data)
+def _make(data, parents: tuple, backward_fn: Callable):
+    """Create an op output (a tuple of them for a tuple of arrays), recording
+    it when a tape is active."""
+    out = tuple(map(Tensor, data)) if isinstance(data, tuple) else Tensor(data)
     tape = active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         tape._record(out, parents, backward_fn)
@@ -378,14 +388,50 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
     return _make(out, (x, w, b), bwd)
 
 
-def clamp(a, lo: float, hi: float) -> Tensor:
-    a = _as_tensor(a)
-    _kink_margin(a.data, lo, hi)
-    return _make(
-        np.clip(a.data, lo, hi),
-        (a,),
-        lambda g: (g * ((a.data >= lo) & (a.data <= hi)),),
-    )
+def conditioner_head(head, layers: int, dim: int, bound: float
+                     ) -> tuple[list[Tensor], list[Tensor], list[Tensor]]:
+    """Per-layer (alpha_pre, alpha, phi) lists of [Q, dim] tensors from a
+    [Q, 2*dim*layers] head output laid out as (pre_k, phi_k) column blocks,
+    k ascending: alpha_pre_k = clip(pre_k, -bound, bound), alpha_k =
+    exp(alpha_pre_k), phi_k = the head's phi_k block.
+
+    One taped op with 3*layers outputs. The clipped values and their exps
+    fill one [layers, Q, dim] buffer each and every phi_k is a view of the
+    head, so nothing is copied. Backward writes one head gradient. Values and
+    gradients are bit-identical to the per-layer getitem/clamp/exp chain in
+    tests/oracles.py, whose sum of zero-padded slice gradients turns a -0.0
+    into +0.0; a probe reads the clamp's kink margin."""
+    head = _as_tensor(head)
+    q = head.shape[0]
+    blocks = head.data.reshape(q, layers, 2, dim)
+    raw = blocks[:, :, 0].transpose(1, 0, 2)  # [layers, Q, dim] view
+    _kink_margin(raw, -bound, bound)
+    pre = np.empty((layers, q, dim))
+    np.clip(raw, -bound, bound, out=pre)
+    alpha = np.exp(pre)
+
+    def bwd(gs):
+        g_head = np.zeros(head.shape)
+        g_blocks = g_head.reshape(q, layers, 2, dim)
+        written = 0
+        for k in range(layers):
+            g_pre, g_alpha, g_phi = gs[k], gs[layers + k], gs[2 * layers + k]
+            if g_alpha is not None:
+                g_alpha = g_alpha * alpha[k]
+                g_pre = g_alpha if g_pre is None else g_pre + g_alpha
+            if g_pre is not None:
+                np.multiply(g_pre, (raw[k] >= -bound) & (raw[k] <= bound),
+                            out=g_blocks[:, k, 0])
+                written += 1
+            if g_phi is not None:
+                g_blocks[:, k, 1] = g_phi
+                written += 1
+        if written > 1:
+            g_head += 0.0  # as adding zero-padded slices does: -0.0 becomes +0.0
+        return (g_head,)
+
+    outs = _make((*pre, *alpha, *(blocks[:, k, 1] for k in range(layers))), (head,), bwd)
+    return list(outs[:layers]), list(outs[layers : 2 * layers]), list(outs[2 * layers :])
 
 
 # -- structure ops ----------------------------------------------------------------

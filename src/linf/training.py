@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics as nm
 from .encoder import encode_batch
-from .errors import ConfigError, SingularMatrixError, TrainingError
+from .errors import ConfigError, SingularMatrixError, TrainingError, UsageError
 from .imaging import Image, bicubic_resample
 from .implicit import bank_maps, condition, phase_vector
 from .model import Model, ModelConfig, param_layout
@@ -276,8 +276,12 @@ def train(
         history = []
 
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        log_fh = _open_log(os.path.join(out_dir, "train_log.csv"), start_step if resume else None)
+        log_path = os.path.join(out_dir, "train_log.csv")
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            log_fh = _open_log(log_path, start_step if resume else None)
+        except OSError as exc:
+            raise UsageError(f"cannot write {log_path}: {exc.strerror or exc}") from exc
     else:
         log_fh = None
 

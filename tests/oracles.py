@@ -7,7 +7,9 @@ compute the same quantities one query at a time, from a feature map tensor
 taped op chain that the fused `numerics.fourier_gather` replaces, and
 `cos_sin` with `cos`, `sin` and `concat` the chain behind its [cos | sin].
 `conv2d_per_offset` is the convolution `numerics.conv2d` replaced: one
-contiguous copy of the shifted input per kernel offset.
+contiguous copy of the shifted input per kernel offset, and
+`conditioner_head_chain` the per-layer getitem/`clamp`/exp chain that the
+fused `numerics.conditioner_head` replaced.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from linf import numerics as nm
-from linf.numerics.tensor import Tensor, _as_tensor, _make
+from linf.numerics.tensor import Tensor, _as_tensor, _kink_margin, _make
 from linf.implicit import (
     WEIGHTING_FULL,
     ImplicitParams,
@@ -25,6 +27,16 @@ from linf.implicit import (
     neighborhood_geometry,
     phase_vector,
 )
+
+
+def clamp(a, lo: float, hi: float) -> Tensor:
+    a = _as_tensor(a)
+    _kink_margin(a.data, lo, hi)
+    return _make(
+        np.clip(a.data, lo, hi),
+        (a,),
+        lambda g: (g * ((a.data >= lo) & (a.data <= hi)),),
+    )
 
 
 def cos(a) -> Tensor:
@@ -103,6 +115,20 @@ def conv2d_per_offset(x, kernel) -> Tensor:
         return (gx, gk)
 
     return _make(out[0] if squeeze else out, (x, kernel), bwd)
+
+
+def conditioner_head_chain(head, layers: int, dim: int, bound: float
+                           ) -> tuple[list[Tensor], list[Tensor], list[Tensor]]:
+    """`numerics.conditioner_head` as four taped ops per layer: a getitem and
+    a clamp for alpha_pre_k, an exp for alpha_k and a getitem for phi_k."""
+    head = _as_tensor(head)
+    alpha_pre, alpha, phi = [], [], []
+    for k in range(layers):
+        pre = clamp(head[:, 2 * k * dim : (2 * k + 1) * dim], -bound, bound)
+        alpha_pre.append(pre)
+        alpha.append(nm.exp(pre))
+        phi.append(head[:, (2 * k + 1) * dim : (2 * k + 2) * dim])
+    return alpha_pre, alpha, phi
 
 
 def ensemble_features_chain(

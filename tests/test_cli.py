@@ -228,6 +228,25 @@ class TestTrainCommand:
         code = main(["train", "--config", smoke_config_path, "--out", str(out), "--resume", ckpt])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("case", ["out-under-a-file", "log-is-a-directory"])
+    def test_unwritable_out_exit2_before_first_step(self, smoke_config_path, tmp_path,
+                                                    capsys, monkeypatch, case):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a training step ran before --out was checked")
+
+        monkeypatch.setattr("linf.training.make_batch", must_not_run)
+        if case == "out-under-a-file":
+            (tmp_path / "afile").write_text("")
+            out = tmp_path / "afile" / "run"
+        else:
+            out = tmp_path / "run"
+            (out / "train_log.csv").mkdir(parents=True)
+        code = main(["train", "--config", smoke_config_path, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'train_log.csv'}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("key,raw", [
         ("batch", "0"), ("pairs_per_image", "-1"), ("corpus_count", "0"),
         ("steps_per_epoch", "0"), ("scale_max", "inf"), ("steps", "-1"), ("dequant", "-1"),
@@ -324,6 +343,18 @@ class TestSrCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "o.ppm").exists()
+
+    def test_negative_seed_exit2_before_loading(self, micro_checkpoint, tmp_path, capsys,
+                                                monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called before --seed was checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_run)
+        inp = self._write_input(tmp_path)
+        code = main(["sr", inp, "--model", micro_checkpoint, "--scale", "2", "--seed", "-1",
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
     def test_out_of_memory_exit3(self, micro_checkpoint, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
@@ -484,8 +515,9 @@ class TestSweepCommand:
         ["--scale", "0.5"],
         ["--scale", "1e300"],
         ["--taus", "abc"],
+        ["--seed", "-1"],
     ], ids=["samples-0", "scale-0", "scale-nan", "scale-1e-300", "scale-0.5", "scale-1e300",
-            "taus-abc"])
+            "taus-abc", "seed-negative"])
     def test_bad_arguments_exit2_before_loading(
         self, micro_checkpoint, tmp_path, capsys, monkeypatch, bad
     ):

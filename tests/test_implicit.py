@@ -8,9 +8,12 @@ from linf import implicit
 from linf.implicit import ALPHA_CLAMP, conditioner, neighborhood_geometry, phase_vector
 
 from .helpers import micro_model
+from linf.corpus import toy_corpus
+from linf.training import TrainConfig, loss_components, make_batch
 from .oracles import (
     FourierBank,
     QueryPoint,
+    conditioner_head_chain,
     ensemble_weights,
     estimate_bank,
     fourier_feature_ensemble,
@@ -377,3 +380,104 @@ class TestConditioner:
         for key in ("trunk.w1", "trunk.w2", "head.w"):
             fd = numeric_grad(lambda: float(compute().data), p.t[key].data)
             assert rel(p.t[key].grad, fd) < 1e-4, key
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestConditionerHead:
+    """numerics.conditioner_head against the per-layer chain it replaced,
+    bit for bit: outputs, gradients, signs of zero and the kink margin."""
+
+    LAYERS, DIM, Q = 4, 3, 37
+
+    def _head(self):
+        rng = np.random.default_rng(71)
+        head = 6.0 * rng.standard_normal((self.Q, 2 * self.DIM * self.LAYERS))
+        head[:5, :] = 20.0 * np.sign(head[:5, :])  # clamp-saturated rows
+        head[5, : 2 * self.DIM] = [ALPHA_CLAMP, -ALPHA_CLAMP, 0.0, 1.0, -0.0, 2.0]  # on the kinks
+        return head
+
+    def _run(self, split, head, used):
+        """(outputs, head gradient, tape records, kink margin) of a readout
+        loss over the outputs named in `used`; -0.0 sits in every readout."""
+        rng = np.random.default_rng(72)
+        h = nm.tensor(head, requires_grad=True)
+        with nm.probe() as p, nm.GradTape() as tape:
+            parts = split(h, self.LAYERS, self.DIM, ALPHA_CLAMP)
+            records = len(tape)
+            total = nm.tensor(0.0)
+            for part, outs in zip(("pre", "alpha", "phi"), parts):
+                for k, t in enumerate(outs):
+                    if (part, k) in used or part in used:
+                        r = rng.standard_normal(t.shape)
+                        r[::3] = -0.0
+                        r[1::3, 0] = 0.0
+                        total = nm.add(total, nm.tsum(nm.mul(t, nm.tensor(r))))
+        tape.backward(total)
+        return [t.data for outs in parts for t in outs], h.grad, records, p.kink_margin
+
+    @pytest.mark.parametrize("used", [
+        {"pre", "alpha", "phi"},  # as the flow's forward uses them
+        {"alpha", "phi"},  # as its inverse does
+        {"pre"},
+        {("phi", 2)},  # a single contribution keeps -0.0
+        {("pre", 0)},  # ... and the clamp mask's -0.0
+    ], ids=["all", "alpha-phi", "pre", "one-phi", "one-pre"])
+    def test_bit_identical_to_chain(self, used):
+        head = self._head()
+        fused = self._run(nm.conditioner_head, head, used)
+        chain = self._run(conditioner_head_chain, head, used)
+        assert len(fused[0]) == len(chain[0]) == 3 * self.LAYERS
+        for got, want in zip(fused[0], chain[0]):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        np.testing.assert_array_equal(_bits(fused[1]), _bits(chain[1]))
+        assert (fused[2], chain[2]) == (1, 4 * self.LAYERS)
+        assert fused[3] == chain[3] == 0.0  # two entries sit on a kink
+        # the cases reach both signs of zero and the saturated mask
+        assert np.any(_bits(chain[1]) == _bits(np.float64(0.0)))
+        if len(used) == 1 and isinstance(next(iter(used)), tuple):
+            assert np.any(_bits(chain[1]) == _bits(np.float64(-0.0)))
+        else:
+            assert not np.any(_bits(chain[1]) == _bits(np.float64(-0.0)))
+
+    def test_outputs_are_views_without_a_tape(self):
+        head = nm.tensor(self._head())
+        pre, alpha, phi = nm.conditioner_head(head, self.LAYERS, self.DIM, ALPHA_CLAMP)
+        assert all(np.shares_memory(t.data, head.data) for t in phi)
+        assert all(t.data.flags.c_contiguous for t in pre + alpha)
+        assert len({id(t.data.base) for t in pre}) == 1  # one buffer for all layers
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("patch_side", [1, 3])
+    def test_loss_gradients_bit_identical_to_chain(self, monkeypatch, stage, patch_side):
+        cfg = TrainConfig(lr_crop=6, batch=2, pairs_per_image=12, stage=stage, seed=0)
+        corpus = toy_corpus(2, 32, seed=5)
+
+        def run():
+            model = micro_model(seed=12, patch_side=patch_side)
+            rng = np.random.default_rng(73)
+            for t in model.parameters().values():
+                t.assign_(t.data + 0.05 * rng.standard_normal(t.shape))
+            bias = model.parameters()["implicit.head.b"]
+            b = bias.data.copy()
+            b[:2] = [9.0, -9.0]  # two alpha_pre columns clamp-saturated
+            bias.assign_(b)
+            batch = make_batch(corpus, cfg, np.random.default_rng(74), patch_side=patch_side)
+            with nm.probe() as p, nm.GradTape() as tape:
+                total, _, _ = loss_components(batch, model, cfg)
+            tape.backward(total)
+            grads = {k: t.grad for k, t in model.parameters().items()}
+            return total.data, grads, p.kink_margin, len(tape)
+
+        fused = run()
+        monkeypatch.setattr(nm, "conditioner_head", conditioner_head_chain)
+        chain = run()
+        np.testing.assert_array_equal(_bits(fused[0]), _bits(chain[0]))
+        assert fused[1].keys() == chain[1].keys()
+        for name in fused[1]:
+            np.testing.assert_array_equal(_bits(fused[1][name]), _bits(chain[1][name]),
+                                          err_msg=name)
+        assert fused[2] == chain[2]
+        assert chain[3] - fused[3] == 4 * 3 - 1  # micro model: 3 flow layers

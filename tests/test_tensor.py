@@ -10,7 +10,9 @@ from linf import implicit
 from linf import numerics as nm
 from linf.errors import ConfigError, ShapeError, UsageError
 
-from .oracles import concat, conv2d_per_offset, cos, cos_sin, ensemble_features_chain, sin
+from .oracles import (
+    clamp, concat, conv2d_per_offset, cos, cos_sin, ensemble_features_chain, sin,
+)
 
 # the submodule; `nm.tensor` is the constructor function
 tensor_module = importlib.import_module("linf.numerics.tensor")
@@ -482,7 +484,7 @@ class TestStructureOps:
     def test_clamp_gradient_mask(self):
         x = nm.Tensor(np.array([-9.0, 0.5, 9.0]), requires_grad=True)
         with nm.GradTape() as tape:
-            loss = nm.tsum(nm.clamp(x, -8.0, 8.0))
+            loss = nm.tsum(clamp(x, -8.0, 8.0))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
@@ -520,9 +522,11 @@ class TestProbe:
     @pytest.mark.parametrize("op,want", [
         (nm.relu, 0.25),
         (nm.absolute, 0.25),
-        (lambda a: nm.clamp(a, -1.0, 3.0), 0.5),  # 3.5 is 0.5 above hi, -1.5 0.5 below lo
-        (lambda a: nm.clamp(a, -2.0, 2.0), 0.25),  # 2.25 is 0.25 above hi
-    ], ids=["relu", "absolute", "clamp-outside", "clamp-inside"])
+        (lambda a: clamp(a, -1.0, 3.0), 0.5),  # 3.5 is 0.5 above hi, -1.5 0.5 below lo
+        (lambda a: clamp(a, -2.0, 2.0), 0.25),  # 2.25 is 0.25 above hi
+        # one layer of D = 3: the first three values form its alpha_pre block
+        (lambda a: nm.conditioner_head(a.reshape(1, 6), 1, 3, 2.0), 0.25),
+    ], ids=["relu", "absolute", "clamp-outside", "clamp-inside", "conditioner-head"])
     def test_kink_margin_is_the_hand_computed_minimum(self, op, want):
         with nm.probe() as p:
             op(_KINK_INPUT)
@@ -544,7 +548,8 @@ class TestProbe:
     def test_empty_input_reports_no_margin(self):
         with nm.probe() as p:
             nm.relu(np.zeros((0, 3)))
-            nm.clamp(np.zeros(0), -1.0, 1.0)
+            clamp(np.zeros(0), -1.0, 1.0)
+            nm.conditioner_head(np.zeros((0, 6)), 1, 3, 1.0)
         assert p.kink_margin == np.inf
 
     def test_probes_are_per_thread(self):
