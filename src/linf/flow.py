@@ -31,11 +31,16 @@ def identity_jitter(rng: np.random.Generator, d: int, std: float) -> np.ndarray:
     return np.eye(d) + std * rng.normal(size=(d, d))
 
 
+def check_tau(tau: float) -> None:
+    """A sampling temperature must be finite and >= 0 (UsageError otherwise)."""
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise UsageError(f"tau must be finite and >= 0, got {tau}")
+
+
 def latents(count: int, d: int, tau: float, rng: np.random.Generator | None) -> np.ndarray:
     """[count, d] prior draws with std tau. tau=0 gives zeros (the conditional
     mean after `FlowModel.inverse`) and leaves `rng` untouched."""
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise UsageError(f"tau must be finite and >= 0, got {tau}")
+    check_tau(tau)
     if tau == 0.0:
         return np.zeros((count, d))
     return tau * rng.standard_normal((count, d))
@@ -111,7 +116,7 @@ class FlowModel:
             h = nm.affine(h, nm.transpose(w), self.biases[k])
             logdet = nm.add(logdet, nm.logabsdet(w, lu=self.lu(k)))
             h = nm.add(nm.mul(cond.alpha[k], h), cond.phi[k])
-            logdet = nm.add(logdet, nm.tsum(cond.alpha_pre[k], axis=1))
+            logdet = nm.add(logdet, cond.logdet[k])
         return h, logdet
 
     def inverse(self, z: nm.Tensor, cond: ConditionerOutput) -> nm.Tensor:

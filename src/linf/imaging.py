@@ -93,7 +93,13 @@ def _bilinear_axis(data: np.ndarray, n_tgt: int) -> np.ndarray:
     i0 = np.clip(lo, 0, n_src - 1)
     i1 = np.clip(lo + 1, 0, n_src - 1)
     w = t.reshape((-1,) + (1,) * (data.ndim - 1))
-    return (1.0 - w) * data[i0] + w * data[i1]
+    # (1 - w) * lo + w * hi, with the products formed in the gathered rows
+    out = data[i0]
+    out *= 1.0 - w
+    hi = data[i1]
+    hi *= w
+    out += hi
+    return out
 
 
 def _cubic_kernel(d: np.ndarray, a: float = -0.5) -> np.ndarray:
@@ -130,7 +136,7 @@ def bilinear_upsample(img: Image, target_h: int, target_w: int) -> Image:
         raise UsageError("target extents must be >= 1")
     out = _bilinear_axis(img.data, target_h)
     out = _bilinear_axis(out.transpose(1, 0, 2), target_w).transpose(1, 0, 2)
-    return Image(np.clip(out, 0.0, 1.0))
+    return Image(np.clip(out, 0.0, 1.0, out=out))
 
 
 def bicubic_resample(img: Image, target_h: int, target_w: int) -> Image:

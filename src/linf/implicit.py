@@ -49,9 +49,10 @@ class ImplicitParams:
 
 @dataclass
 class ConditionerOutput:
-    """Per flow layer: scale pre-activation, scale, and shift, each [N, D]."""
+    """Per flow layer: the injector's log-determinant [N] (the row sum of
+    the clamped scale pre-activation), the scale and the shift, each [N, D]."""
 
-    alpha_pre: list[nm.Tensor]
+    logdet: list[nm.Tensor]
     alpha: list[nm.Tensor]
     phi: list[nm.Tensor]
 
@@ -144,16 +145,19 @@ def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
     """MLP trunk over kappa ([Q, 8K] or [8K]) producing per-layer (alpha, phi).
 
     The head output holds per layer contiguous (alpha_pre_k, phi_k) blocks
-    of D each, k ascending; one op (`numerics.conditioner_head`) clamps and
-    exponentiates the alpha_pre blocks and hands out the phi blocks as views.
+    of D each, k ascending; one op (`numerics.conditioner_head`) clamps,
+    sums and exponentiates the alpha_pre blocks and hands out the phi
+    blocks as views. Each array is released once the next layer has read
+    it: without a tape, a kappa the caller holds no reference to is freed
+    after the first trunk layer, and the trunk output before the head op
+    allocates its buffer.
     """
     if kappa.ndim == 1:
         kappa = kappa.reshape(1, kappa.shape[0])
     nm.count("conditioner", kappa.shape[0])
     h = nm.affine(kappa, params["trunk.w1"], params["trunk.b1"], relu=True)
+    del kappa
     h = nm.affine(h, params["trunk.w2"], params["trunk.b2"], relu=True)
-    # the head output takes over h's name, so without a tape the trunk
-    # output is freed before conditioner_head allocates its two buffers
     h = nm.affine(h, params["head.w"], params["head.b"])
     return ConditionerOutput(*nm.conditioner_head(
         h, params.cfg.flow_layers, params.cfg.patch_dim, ALPHA_CLAMP))
@@ -173,6 +177,5 @@ def condition(
     indices, coords, weights = neighborhood_geometry(h, w, x_q)
     if crop is not None:
         indices[:, :, 0] += h * crop[:, None]
-    kappa = ensemble_features(amap_flat, fmap_flat, phases, x_q, indices, coords, weights, w,
-                              params.cfg.ensemble_weighting)
-    return conditioner(kappa, params)
+    return conditioner(ensemble_features(amap_flat, fmap_flat, phases, x_q, indices, coords,
+                                         weights, w, params.cfg.ensemble_weighting), params)

@@ -390,32 +390,37 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
 
 def conditioner_head(head, layers: int, dim: int, bound: float
                      ) -> tuple[list[Tensor], list[Tensor], list[Tensor]]:
-    """Per-layer (alpha_pre, alpha, phi) lists of [Q, dim] tensors from a
-    [Q, 2*dim*layers] head output laid out as (pre_k, phi_k) column blocks,
-    k ascending: alpha_pre_k = clip(pre_k, -bound, bound), alpha_k =
-    exp(alpha_pre_k), phi_k = the head's phi_k block.
+    """Per-layer (logdet, alpha, phi) lists from a [Q, 2*dim*layers] head
+    output laid out as (pre_k, phi_k) column blocks, k ascending: with
+    alpha_pre_k = clip(pre_k, -bound, bound), logdet_k is its per-query row
+    sum [Q] (the injector's log-determinant), alpha_k = exp(alpha_pre_k)
+    and phi_k = the head's phi_k block, both [Q, dim].
 
-    One taped op with 3*layers outputs. The clipped values and their exps
-    fill one [layers, Q, dim] buffer each and every phi_k is a view of the
-    head, so nothing is copied. Backward writes one head gradient. Values and
-    gradients are bit-identical to the per-layer getitem/clamp/exp chain in
-    tests/oracles.py, whose sum of zero-padded slice gradients turns a -0.0
-    into +0.0; a probe reads the clamp's kink margin."""
+    One taped op with 3*layers outputs. The pre blocks are clipped into one
+    [layers, Q, dim] buffer, summed per query and exponentiated in place, so
+    that buffer becomes alpha; every phi_k is a view of the head.
+    Backward reads the clamp mask from the head and writes one head
+    gradient. Values and gradients are bit-identical to the per-layer
+    getitem/clamp/exp chain in tests/oracles.py with a tsum of each clipped
+    block, whose sum of zero-padded slice gradients turns a -0.0 into +0.0;
+    a probe reads the clamp's kink margin."""
     head = _as_tensor(head)
     q = head.shape[0]
     blocks = head.data.reshape(q, layers, 2, dim)
     raw = blocks[:, :, 0].transpose(1, 0, 2)  # [layers, Q, dim] view
     _kink_margin(raw, -bound, bound)
-    pre = np.empty((layers, q, dim))
-    np.clip(raw, -bound, bound, out=pre)
-    alpha = np.exp(pre)
+    alpha = np.empty((layers, q, dim))
+    np.clip(raw, -bound, bound, out=alpha)
+    logdet = alpha.sum(axis=2)
+    np.exp(alpha, out=alpha)
 
     def bwd(gs):
         g_head = np.zeros(head.shape)
         g_blocks = g_head.reshape(q, layers, 2, dim)
         written = 0
         for k in range(layers):
-            g_pre, g_alpha, g_phi = gs[k], gs[layers + k], gs[2 * layers + k]
+            g_sum, g_alpha, g_phi = gs[k], gs[layers + k], gs[2 * layers + k]
+            g_pre = None if g_sum is None else g_sum[:, None]
             if g_alpha is not None:
                 g_alpha = g_alpha * alpha[k]
                 g_pre = g_alpha if g_pre is None else g_pre + g_alpha
@@ -430,7 +435,7 @@ def conditioner_head(head, layers: int, dim: int, bound: float
             g_head += 0.0  # as adding zero-padded slices does: -0.0 becomes +0.0
         return (g_head,)
 
-    outs = _make((*pre, *alpha, *(blocks[:, k, 1] for k in range(layers))), (head,), bwd)
+    outs = _make((*logdet, *alpha, *(blocks[:, k, 1] for k in range(layers))), (head,), bwd)
     return list(outs[:layers]), list(outs[layers : 2 * layers]), list(outs[2 * layers :])
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import UsageError
-from .flow import latents
+from .flow import check_tau, latents
 from .imaging import Image, bilinear_upsample
 from .implicit import (
     conditioner,
@@ -94,13 +94,12 @@ class PatchGrid:
     def patch_dim(self) -> int:
         return 3 * self.n * self.n
 
-    def centers(self) -> np.ndarray:
-        """[h*w, 2] patch-center coordinates, row-major over (i, j)."""
+    def centers(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """[stop - start, 2] centers of patches start..stop-1 (all of them by
+        default), in row-major (i, j) order."""
         n, sh, sw = self.n, self.target_height, self.target_width
-        cy = (2.0 * n * np.arange(self.rows) + n) / sh - 1.0
-        cx = (2.0 * n * np.arange(self.cols) + n) / sw - 1.0
-        grid = np.stack(np.meshgrid(cy, cx, indexing="ij"), axis=-1)
-        return grid.reshape(-1, 2)
+        i, j = np.divmod(np.arange(start, self.num_patches if stop is None else stop), self.cols)
+        return np.stack([(2.0 * n * i + n) / sh - 1.0, (2.0 * n * j + n) / sw - 1.0], axis=1)
 
 
 def build_grid(spec: ScaleSpec, n: int) -> PatchGrid:
@@ -183,16 +182,16 @@ def generate_texture_patches(
     fmap_flat: nm.Tensor,
     lr_shape: tuple[int, int],
     centers: np.ndarray,
-    cell: float,
+    phases: nm.Tensor,
     z: np.ndarray,
     ensemble: str = ENSEMBLE_FOURIER,
 ) -> np.ndarray:
     """Run conditioner + flow inverse for a block of queries; returns [Q, D].
 
-    amap_flat/fmap_flat are the image's bank maps flattened to [H*W, 2K]."""
+    amap_flat/fmap_flat are the image's bank maps flattened to [H*W, 2K] and
+    phases is [Q, K] (`phase_vector` of the queries' cells)."""
     params = model.implicit_params
     q = centers.shape[0]
-    phases = phase_vector(np.full(q, cell), params)
     if ensemble == ENSEMBLE_FOURIER:
         cond = condition(params, amap_flat, fmap_flat, lr_shape, centers, phases)
         return model.flow.inverse(nm.tensor(z), cond).data
@@ -203,13 +202,12 @@ def generate_texture_patches(
         for nb in range(4):
             # as if neighbour nb were the whole neighbourhood: every slot
             # carries its features (with its own relative coordinate)
-            kappa_nb = ensemble_features(
+            cond_nb = conditioner(ensemble_features(
                 amap_flat, fmap_flat, phases, centers,
                 np.repeat(indices[:, nb : nb + 1], 4, axis=1),
                 np.repeat(coords[:, nb : nb + 1], 4, axis=1),
                 weights, w, params.cfg.ensemble_weighting,
-            )
-            cond_nb = conditioner(kappa_nb, params)
+            ), params)
             out += weights[:, nb : nb + 1] * model.flow.inverse(nm.tensor(z), cond_nb).data
         return out
     raise UsageError(f"unknown ensemble mode {ensemble!r}")
@@ -226,39 +224,46 @@ def super_resolve(
 ) -> Image:
     """Arbitrary-scale SR: one encode, h*w queries, bilinear base plus texture.
 
-    tau=0 is fully deterministic. With tau>0 the latent block for all patches
-    is drawn up front (row-major patch order) from a generator seeded with
-    `seed`, so the latents do not depend on chunking or evaluation order. The
-    outputs can differ in their last bits between chunk sizes, because BLAS
-    picks its GEMM kernels by row count.
+    tau=0 is fully deterministic and leaves the generator unused. With tau>0
+    each chunk draws its latent rows from one generator seeded with `seed`,
+    in row-major patch order, so the latents equal one up-front draw and do
+    not depend on chunking. The outputs can differ in their last bits between
+    chunk sizes, because BLAS picks its GEMM kernels by row count.
 
-    Per image: the encoder, the bank maps and their [H*W, 2K] flattening, the
-    patch centers and the latents. Per chunk of queries: phases, the
-    condition (`implicit.condition`) and the flow inverse.
+    Per image: the encoder and the bank maps with their [H*W, 2K]
+    flattening, the texture patches, and at the end the bilinear base, to
+    which the texture is added and which is clipped in place. Per chunk of
+    queries: its patch centers and latents, the condition
+    (`implicit.condition`) and the flow inverse. Phases depend only on the
+    chunk size, so they are computed again only for a shorter last chunk.
     """
     spec = ScaleSpec(s, lr.height, lr.width)
     if chunk < 1:
         raise UsageError(f"chunk must be >= 1, got {chunk}")
+    check_tau(tau)
     grid = build_grid(spec, model.cfg.patch_side)
     d = grid.patch_dim
-    z_all = latents(grid.num_patches, d, tau, np.random.default_rng(seed))
-    amap, fmap = bank_maps(model.encode(lr), model.implicit_params)
+    rng = np.random.default_rng(seed)
+    params = model.implicit_params
     hw = lr.height * lr.width
-    amap_flat, fmap_flat = amap.reshape(hw, -1), fmap.reshape(hw, -1)
-    centers = grid.centers()
+    amap_flat, fmap_flat = (m.reshape(hw, -1) for m in bank_maps(model.encode(lr), params))
     patches = np.empty((grid.num_patches, d))
+    phases = None
     for start in range(0, grid.num_patches, chunk):
         stop = min(start + chunk, grid.num_patches)
+        if phases is None or phases.shape[0] != stop - start:
+            phases = phase_vector(np.full(stop - start, spec.cell), params)
         patches[start:stop] = generate_texture_patches(
             model,
             amap_flat,
             fmap_flat,
             (lr.height, lr.width),
-            centers[start:stop],
-            spec.cell,
-            z_all[start:stop],
+            grid.centers(start, stop),
+            phases,
+            latents(stop - start, d, tau, rng),
             ensemble,
         )
-    texture = reassemble(patches, grid)
-    base = bilinear_upsample(lr, grid.target_height, grid.target_width).data
-    return Image(np.clip(texture + base, 0.0, 1.0))
+    del amap_flat, fmap_flat
+    out = bilinear_upsample(lr, grid.target_height, grid.target_width).data
+    out += reassemble(patches, grid)
+    return Image(np.clip(out, 0.0, 1.0, out=out))

@@ -279,11 +279,20 @@ def train(
         log_path = os.path.join(out_dir, "train_log.csv")
         try:
             os.makedirs(out_dir, exist_ok=True)
+            _check_checkpoint_names(out_dir, cfg, start_step)
             log_fh = _open_log(log_path, start_step if resume else None)
         except OSError as exc:
             raise UsageError(f"cannot write {log_path}: {exc.strerror or exc}") from exc
     else:
         log_fh = None
+
+    def checkpoint(name: str, step: int, epoch: int) -> str:
+        path = os.path.join(out_dir, name)
+        try:
+            save_checkpoint(path, model, cfg, step, epoch, rng, adam)
+        except OSError as exc:
+            raise UsageError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
+        return path
 
     ckpt_path = None
     try:
@@ -308,16 +317,29 @@ def train(
             at_epoch_end = step % cfg.steps_per_epoch == 0
             if out_dir and (at_epoch_end or step == cfg.steps):
                 name = f"ckpt_epoch{epoch:03d}.linf" if at_epoch_end else "ckpt_final.linf"
-                ckpt_path = os.path.join(out_dir, name)
-                save_checkpoint(ckpt_path, model, cfg, step, epoch, rng, adam)
+                ckpt_path = checkpoint(name, step, epoch)
         if out_dir:
-            final = os.path.join(out_dir, "ckpt_final.linf")
-            save_checkpoint(final, model, cfg, cfg.steps, -(-cfg.steps // cfg.steps_per_epoch), rng, adam)
-            ckpt_path = final
+            ckpt_path = checkpoint("ckpt_final.linf", cfg.steps,
+                                   -(-cfg.steps // cfg.steps_per_epoch))
     finally:
         if log_fh:
             log_fh.close()
     return TrainResult(model, history, ckpt_path)
+
+
+def _check_checkpoint_names(out_dir: str, cfg: TrainConfig, start_step: int) -> None:
+    """UsageError if a directory sits at the name of a checkpoint that this
+    run writes after start_step, so it fails before the first step rather
+    than after the last. A symlink is replaced, so only a real directory
+    counts."""
+    for entry in os.scandir(out_dir):
+        if not entry.is_dir(follow_symlinks=False):
+            continue
+        epoch = entry.name.removeprefix("ckpt_epoch").removesuffix(".linf")
+        if entry.name == "ckpt_final.linf" or (
+                epoch.isdecimal() and entry.name == f"ckpt_epoch{int(epoch):03d}.linf"
+                and start_step < int(epoch) * cfg.steps_per_epoch <= cfg.steps):
+            raise UsageError(f"cannot write checkpoint {entry.path}: Is a directory")
 
 
 def _open_log(path: str, resume_step: int | None):

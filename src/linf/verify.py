@@ -40,7 +40,7 @@ def random_cond(rng, layers: int, dim: int, batch: int = 1, scale: float = 0.5) 
     """Random condition: alpha_pre ~ U[-scale, scale] for every layer, then phi ~ scale * N(0, 1)."""
     alpha_pre = [nm.tensor(rng.uniform(-scale, scale, size=(batch, dim))) for _ in range(layers)]
     return ConditionerOutput(
-        alpha_pre,
+        [nm.tsum(t, axis=1) for t in alpha_pre],
         [nm.exp(t) for t in alpha_pre],
         [nm.tensor(rng.normal(size=(batch, dim)) * scale) for _ in range(layers)],
     )

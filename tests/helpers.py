@@ -28,7 +28,7 @@ def micro_model(seed=0, **overrides) -> Model:
 def identity_cond(layers, dim, batch=1) -> ConditionerOutput:
     zeros = np.zeros((batch, dim))
     return ConditionerOutput(
-        [nm.tensor(zeros) for _ in range(layers)],
+        [nm.tensor(np.zeros(batch)) for _ in range(layers)],
         [nm.tensor(np.ones((batch, dim))) for _ in range(layers)],
         [nm.tensor(zeros) for _ in range(layers)],
     )

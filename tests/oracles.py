@@ -131,6 +131,15 @@ def conditioner_head_chain(head, layers: int, dim: int, bound: float
     return alpha_pre, alpha, phi
 
 
+def conditioner_head_summed(head, layers: int, dim: int, bound: float
+                            ) -> tuple[list[Tensor], list[Tensor], list[Tensor]]:
+    """`conditioner_head_chain` with a tsum of each clipped block per query:
+    the (logdet, alpha, phi) lists that `numerics.conditioner_head` returns,
+    as five taped ops per layer."""
+    alpha_pre, alpha, phi = conditioner_head_chain(head, layers, dim, bound)
+    return [nm.tsum(pre, axis=1) for pre in alpha_pre], alpha, phi
+
+
 def ensemble_features_chain(
     amap_flat: nm.Tensor,
     fmap_flat: nm.Tensor,

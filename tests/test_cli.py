@@ -1,5 +1,7 @@
 """CLI exit codes, banners, and CSV schemas (all in-process via main())."""
 
+import errno
+import os
 import sys
 import time
 from dataclasses import fields
@@ -246,6 +248,41 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out / 'train_log.csv'}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["ckpt_final.linf", "ckpt_epoch001.linf"])
+    def test_checkpoint_name_taken_by_a_directory_exit2_before_first_step(
+            self, tmp_path, capsys, monkeypatch, name):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a training step ran before the checkpoint names were checked")
+
+        one_step = SMOKE_CONFIG.replace("steps = 4", "steps = 1").replace(
+            "steps_per_epoch = 2", "steps_per_epoch = 1")
+        path = tmp_path / "one.cfg"
+        path.write_text(one_step)
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)
+        (out / "ckpt_epoch002.linf").mkdir()  # a later epoch than this run reaches
+        monkeypatch.setattr("linf.training.make_batch", must_not_run)
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write checkpoint {out / name}: Is a directory\n"
+        monkeypatch.undo()
+        (out / name).rmdir()
+        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_OK
+
+    def test_failed_checkpoint_write_exit2(self, tmp_path, capsys, monkeypatch):
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        path = tmp_path / "one.cfg"
+        path.write_text(SMOKE_CONFIG.replace("steps = 4", "steps = 1"))
+        monkeypatch.setattr("linf.training.save_checkpoint", disk_full)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot write checkpoint {out / 'ckpt_final.linf'}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
 
     @pytest.mark.parametrize("key,raw", [
         ("batch", "0"), ("pairs_per_image", "-1"), ("corpus_count", "0"),

@@ -224,7 +224,7 @@ class TestGradientsThroughFlow:
 
             alpha_pre = [nm.tensor(a) for a, _ in cond_arrays]
             return ConditionerOutput(
-                alpha_pre,
+                [nm.tsum(t, axis=1) for t in alpha_pre],
                 [nm.exp(t) for t in alpha_pre],
                 [nm.tensor(p) for _, p in cond_arrays],
             )

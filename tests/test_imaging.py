@@ -49,6 +49,16 @@ class TestBilinear:
         with pytest.raises(UsageError):
             imaging.bilinear_upsample(rgb([[0.5]]), 0, 3)
 
+    @pytest.mark.parametrize("n_src,n_tgt", [(5, 17), (17, 5), (9, 9), (1, 4)])
+    def test_axis_bits_equal_the_two_tap_formula(self, n_src, n_tgt):
+        data = np.random.default_rng(n_src * n_tgt).random((n_src, 3, 3))
+        pos = imaging._axis_positions(n_src, n_tgt)
+        lo = np.floor(pos).astype(int)
+        w = (pos - lo)[:, None, None]
+        lo_rows, hi_rows = data[np.clip(lo, 0, n_src - 1)], data[np.clip(lo + 1, 0, n_src - 1)]
+        want = (1.0 - w) * lo_rows + w * hi_rows
+        assert imaging._bilinear_axis(data, n_tgt).tobytes() == want.tobytes()
+
 
 class TestBicubic:
     def test_constant_preserved(self):

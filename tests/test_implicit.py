@@ -13,7 +13,7 @@ from linf.training import TrainConfig, loss_components, make_batch
 from .oracles import (
     FourierBank,
     QueryPoint,
-    conditioner_head_chain,
+    conditioner_head_summed,
     ensemble_weights,
     estimate_bank,
     fourier_feature_ensemble,
@@ -329,7 +329,7 @@ class TestCondition:
                 nm.tensor(fmap.data[b].reshape(h * w, k2)), (h, w), x_q[rows],
                 nm.tensor(phases.data[rows]),
             )
-            for part in ("alpha_pre", "alpha", "phi"):
+            for part in ("logdet", "alpha", "phi"):
                 for got, want in zip(getattr(stacked, part), getattr(single, part)):
                     np.testing.assert_allclose(got.data[rows], want.data, rtol=0, atol=1e-12)
 
@@ -348,13 +348,14 @@ class TestConditioner:
     def test_clamp_bounds(self):
         model = micro_model(seed=10)
         p = model.implicit_params
-        # push the first alpha_pre slot to a raw 20 via the head bias
+        # push the first alpha_pre slot to a raw 20 via the head bias; the
+        # other two of D = 3 stay at 0, so the layer's log-det is the bound
         bias = np.zeros_like(p["head.b"].data)
         bias[0] = 20.0
         p.t["head.b"].assign_(bias)
         kappa = nm.tensor(np.zeros((1, 8 * p.cfg.frequencies)))
         cond = conditioner(kappa, p)
-        assert cond.alpha_pre[0].data[0, 0] == ALPHA_CLAMP
+        assert cond.logdet[0].data[0] == ALPHA_CLAMP
         assert cond.alpha[0].data[0, 0] == pytest.approx(np.exp(8.0))
 
     def test_trunk_gradients_vs_fd(self):
@@ -387,67 +388,80 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 class TestConditionerHead:
-    """numerics.conditioner_head against the per-layer chain it replaced,
-    bit for bit: outputs, gradients, signs of zero and the kink margin."""
+    """numerics.conditioner_head against the per-layer chain it replaced
+    with a tsum of each clipped block, bit for bit: outputs, gradients,
+    signs of zero and the kink margin."""
 
-    LAYERS, DIM, Q = 4, 3, 37
+    LAYERS, Q = 4, 37
 
-    def _head(self):
+    def _head(self, dim):
         rng = np.random.default_rng(71)
-        head = 6.0 * rng.standard_normal((self.Q, 2 * self.DIM * self.LAYERS))
+        head = 6.0 * rng.standard_normal((self.Q, 2 * dim * self.LAYERS))
         head[:5, :] = 20.0 * np.sign(head[:5, :])  # clamp-saturated rows
-        head[5, : 2 * self.DIM] = [ALPHA_CLAMP, -ALPHA_CLAMP, 0.0, 1.0, -0.0, 2.0]  # on the kinks
+        head[5, :3] = [ALPHA_CLAMP, -ALPHA_CLAMP, 0.0]  # on the kinks
+        head[5, dim : dim + 3] = [1.0, -0.0, 2.0]
+        head[6].reshape(self.LAYERS, 2, dim)[:, 0] = -0.0  # every pre block -0.0
         return head
 
-    def _run(self, split, head, used):
+    def _run(self, split, head, dim, used):
         """(outputs, head gradient, tape records, kink margin) of a readout
         loss over the outputs named in `used`; -0.0 sits in every readout."""
         rng = np.random.default_rng(72)
         h = nm.tensor(head, requires_grad=True)
         with nm.probe() as p, nm.GradTape() as tape:
-            parts = split(h, self.LAYERS, self.DIM, ALPHA_CLAMP)
+            parts = split(h, self.LAYERS, dim, ALPHA_CLAMP)
             records = len(tape)
             total = nm.tensor(0.0)
-            for part, outs in zip(("pre", "alpha", "phi"), parts):
+            for part, outs in zip(("logdet", "alpha", "phi"), parts):
                 for k, t in enumerate(outs):
                     if (part, k) in used or part in used:
                         r = rng.standard_normal(t.shape)
                         r[::3] = -0.0
-                        r[1::3, 0] = 0.0
+                        if r.ndim == 2:
+                            r[1::3, 0] = 0.0
                         total = nm.add(total, nm.tsum(nm.mul(t, nm.tensor(r))))
         tape.backward(total)
         return [t.data for outs in parts for t in outs], h.grad, records, p.kink_margin
 
     @pytest.mark.parametrize("used", [
-        {"pre", "alpha", "phi"},  # as the flow's forward uses them
+        {"logdet", "alpha", "phi"},  # as the flow's forward uses them
         {"alpha", "phi"},  # as its inverse does
-        {"pre"},
+        {"logdet"},  # the pre blocks' row sums
         {("phi", 2)},  # a single contribution keeps -0.0
-        {("pre", 0)},  # ... and the clamp mask's -0.0
+        {("logdet", 0)},  # ... and the clamp mask's -0.0
     ], ids=["all", "alpha-phi", "pre", "one-phi", "one-pre"])
     def test_bit_identical_to_chain(self, used):
-        head = self._head()
-        fused = self._run(nm.conditioner_head, head, used)
-        chain = self._run(conditioner_head_chain, head, used)
-        assert len(fused[0]) == len(chain[0]) == 3 * self.LAYERS
-        for got, want in zip(fused[0], chain[0]):
-            np.testing.assert_array_equal(_bits(got), _bits(want))
-        np.testing.assert_array_equal(_bits(fused[1]), _bits(chain[1]))
-        assert (fused[2], chain[2]) == (1, 4 * self.LAYERS)
-        assert fused[3] == chain[3] == 0.0  # two entries sit on a kink
-        # the cases reach both signs of zero and the saturated mask
-        assert np.any(_bits(chain[1]) == _bits(np.float64(0.0)))
-        if len(used) == 1 and isinstance(next(iter(used)), tuple):
-            assert np.any(_bits(chain[1]) == _bits(np.float64(-0.0)))
-        else:
-            assert not np.any(_bits(chain[1]) == _bits(np.float64(-0.0)))
+        for dim in (3, 27):
+            head = self._head(dim)
+            fused = self._run(nm.conditioner_head, head, dim, used)
+            chain = self._run(conditioner_head_summed, head, dim, used)
+            assert len(fused[0]) == len(chain[0]) == 3 * self.LAYERS
+            for got, want in zip(fused[0], chain[0]):
+                np.testing.assert_array_equal(_bits(got), _bits(want))
+            np.testing.assert_array_equal(_bits(fused[1]), _bits(chain[1]))
+            assert (fused[2], chain[2]) == (1, 5 * self.LAYERS)
+            assert fused[3] == chain[3] == 0.0  # two entries sit on a kink
+            # the sums cover a row of -0.0 (whose sign tsum decides, compared
+            # above) and the saturated rows' multiples of the bound
+            for k in range(self.LAYERS):
+                assert fused[0][k][6] == 0.0
+                assert np.all(fused[0][k][:5] % ALPHA_CLAMP == 0.0)
+            # the cases reach both signs of zero and the saturated mask
+            assert np.any(_bits(chain[1]) == _bits(np.float64(0.0)))
+            if len(used) == 1 and isinstance(next(iter(used)), tuple):
+                assert np.any(_bits(chain[1]) == _bits(np.float64(-0.0)))
+            else:
+                assert not np.any(_bits(chain[1]) == _bits(np.float64(-0.0)))
 
     def test_outputs_are_views_without_a_tape(self):
-        head = nm.tensor(self._head())
-        pre, alpha, phi = nm.conditioner_head(head, self.LAYERS, self.DIM, ALPHA_CLAMP)
+        head = nm.tensor(self._head(3))
+        logdet, alpha, phi = nm.conditioner_head(head, self.LAYERS, 3, ALPHA_CLAMP)
         assert all(np.shares_memory(t.data, head.data) for t in phi)
-        assert all(t.data.flags.c_contiguous for t in pre + alpha)
-        assert len({id(t.data.base) for t in pre}) == 1  # one buffer for all layers
+        assert all(t.data.flags.c_contiguous for t in logdet + alpha)
+        assert [t.shape for t in logdet] == [(self.Q,)] * self.LAYERS
+        # one buffer for all layers' alphas, one for their sums, nothing else
+        assert len({id(t.data.base) for t in alpha}) == 1
+        assert len({id(t.data.base) for t in logdet}) == 1
 
     @pytest.mark.parametrize("stage", [1, 2])
     @pytest.mark.parametrize("patch_side", [1, 3])
@@ -472,7 +486,7 @@ class TestConditionerHead:
             return total.data, grads, p.kink_margin, len(tape)
 
         fused = run()
-        monkeypatch.setattr(nm, "conditioner_head", conditioner_head_chain)
+        monkeypatch.setattr(nm, "conditioner_head", conditioner_head_summed)
         chain = run()
         np.testing.assert_array_equal(_bits(fused[0]), _bits(chain[0]))
         assert fused[1].keys() == chain[1].keys()
@@ -480,4 +494,4 @@ class TestConditionerHead:
             np.testing.assert_array_equal(_bits(fused[1][name]), _bits(chain[1][name]),
                                           err_msg=name)
         assert fused[2] == chain[2]
-        assert chain[3] - fused[3] == 4 * 3 - 1  # micro model: 3 flow layers
+        assert chain[3] - fused[3] == 5 * 3 - 1  # micro model: 3 flow layers

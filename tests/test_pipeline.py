@@ -1,12 +1,18 @@
 """Grid tiling, texture targets, and end-to-end generation contracts."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from linf import numerics as nm
 from linf import pipeline
+from linf.config import load_config
+from linf.corpus import toy_corpus
 from linf.errors import UsageError
 from linf.imaging import Image, bilinear_upsample
+from linf.model import Model
 from linf.pipeline import (
     ENSEMBLE_LOCAL,
     ScaleSpec,
@@ -20,6 +26,8 @@ from linf.pipeline import (
 )
 
 from .helpers import micro_model
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def crop(grid, i, j):
@@ -122,6 +130,19 @@ class TestBuildGrid:
         # patch (0,0) covers rows 0..2; center row = mean of pixel centers
         expect0 = ((2 * 0 + 1) / 12 - 1 + (2 * 2 + 1) / 12 - 1) / 2
         assert centers[0, 0, 0] == pytest.approx(expect0, abs=1e-15)
+
+    @pytest.mark.parametrize("s,h,w,n", [(2.0, 6, 6, 3), (2.7, 13, 9, 3), (3.1, 7, 11, 1)])
+    def test_center_slices_equal_the_axis_grid(self, s, h, w, n):
+        """Centers of any patch range equal, bit for bit, the rows of the
+        meshgrid of the grid's two axes."""
+        grid = build_grid(ScaleSpec(s, h, w), n)
+        sh, sw = grid.target_height, grid.target_width
+        cy = (2.0 * n * np.arange(grid.rows) + n) / sh - 1.0
+        cx = (2.0 * n * np.arange(grid.cols) + n) / sw - 1.0
+        whole = np.stack(np.meshgrid(cy, cx, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert grid.centers().tobytes() == whole.tobytes()
+        for start, stop in ((0, 1), (5, 13), (grid.num_patches - 4, grid.num_patches)):
+            assert grid.centers(start, stop).tobytes() == whole[start:stop].tobytes()
 
 
 class TestExtractTargets:
@@ -250,6 +271,55 @@ class TestSuperResolve:
         super_resolve(lr, 3.0, 0.5, model, seed=1, chunk=7)  # 225 patches, 33 chunks
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("chunk", [4096, 97, 1])
+    def test_per_chunk_latents_equal_one_upfront_draw(self, monkeypatch, chunk):
+        model = micro_model(seed=31)
+        lr = Image(np.random.default_rng(87).random((5, 6, 3)))
+        num_patches = build_grid(ScaleSpec(2.0, 5, 6), 1).num_patches  # 120
+        draws = []
+
+        def recording_latents(count, d, tau, rng):
+            draws.append(original(count, d, tau, rng))
+            return draws[-1]
+
+        original = pipeline.latents
+        monkeypatch.setattr(pipeline, "latents", recording_latents)
+        super_resolve(lr, 2.0, 0.6, model, seed=9, chunk=chunk)
+        assert len(draws) == -(-num_patches // chunk)
+        upfront = original(num_patches, 3, 0.6, np.random.default_rng(9))
+        assert np.concatenate(draws).tobytes() == upfront.tobytes()
+
+    def test_tau0_leaves_the_generator_untouched(self, monkeypatch):
+        model = micro_model(seed=31)
+        lr = Image(np.random.default_rng(87).random((5, 6, 3)))
+        seen = []
+
+        def recording_latents(count, d, tau, rng):
+            seen.append((rng, rng.bit_generator.state))
+            return original(count, d, tau, rng)
+
+        original = pipeline.latents
+        monkeypatch.setattr(pipeline, "latents", recording_latents)
+        super_resolve(lr, 2.0, 0.0, model, seed=9, chunk=50)  # 120 patches, 3 chunks
+        fresh = np.random.default_rng(9).bit_generator.state
+        assert len(seen) == 3
+        assert all(rng is seen[0][0] and state == fresh for rng, state in seen)
+        assert seen[0][0].bit_generator.state == fresh
+
+    def test_phases_once_per_chunk_size(self, monkeypatch):
+        model = micro_model(seed=29)
+        lr = Image(np.random.default_rng(86).random((5, 5, 3)))
+        sizes = []
+        original = pipeline.phase_vector
+
+        def counting_phase_vector(cells, params):
+            sizes.append(len(cells))
+            return original(cells, params)
+
+        monkeypatch.setattr(pipeline, "phase_vector", counting_phase_vector)
+        super_resolve(lr, 3.0, 0.5, model, seed=1, chunk=7)  # 225 patches: 32 x 7, then 1
+        assert sizes == [7, 1]
+
     @pytest.mark.parametrize("s,tau,chunk", [
         (float("nan"), 0.5, 64), (float("inf"), 0.5, 64), (-2.0, 0.5, 64),
         (2.0, -1.0, 64), (2.0, float("nan"), 64), (2.0, float("inf"), 64),
@@ -301,7 +371,7 @@ class TestSuperResolve:
     def test_local_ensemble_at_neighbor_center_matches_single_pass(self):
         # weight (1,0,0,0): the blend collapses to the single-neighbor
         # prediction, which equals the one-pass ensemble result
-        from linf.implicit import bank_maps
+        from linf.implicit import bank_maps, phase_vector
         from linf.pipeline import generate_texture_patches
 
         from .oracles import pixel_centers
@@ -315,11 +385,36 @@ class TestSuperResolve:
         banks = amap.reshape(25, -1), fmap.reshape(25, -1)
         center = np.array([[pixel_centers(5)[2], pixel_centers(5)[1]]])
         z = 0.5 * rng.standard_normal((1, model.cfg.patch_dim))
-        a = generate_texture_patches(model, *banks, (5, 5), center, 1.0, z)
+        phases = phase_vector(np.ones(1), p)  # cell 1.0
+        a = generate_texture_patches(model, *banks, (5, 5), center, phases, z)
         b = generate_texture_patches(
-            model, *banks, (5, 5), center, 1.0, z, ensemble=ENSEMBLE_LOCAL
+            model, *banks, (5, 5), center, phases, z, ensemble=ENSEMBLE_LOCAL
         )
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_patch3_working_set_bound(self):
+        """Traced peak of a two-chunk patch3 super_resolve: one chunk's head
+        output and alpha buffer, the image-level arrays, and slack for the
+        trunk, phases, latents and the flow inverse's temporaries. Holding a
+        second [L, Q, D] buffer of clipped pre-activations, as a head that
+        returns them does, exceeds it."""
+        cfg, _, _ = load_config(str(CONFIG_DIR / "patch3.cfg"))
+        model = Model.create(cfg, seed=0)
+        lr = toy_corpus(1, 72, seed=1)[0]
+        grid = build_grid(ScaleSpec(2.7, 72, 72), cfg.patch_side)
+        assert 4096 < grid.num_patches <= 2 * 4096
+        q, d, layers = 4096, cfg.patch_dim, cfg.flow_layers
+        head_bytes = q * 2 * d * layers * 8
+        alpha_bytes = q * d * layers * 8
+        image_bytes = (2 * 72 * 72 * 2 * cfg.frequencies + grid.num_patches * d) * 8
+        slack = 8 * 2**20
+        tracemalloc.start()
+        try:
+            super_resolve(lr, 2.7, 0.0, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= head_bytes + alpha_bytes + image_bytes + slack
 
     def test_local_and_fourier_agree_on_1x1_map(self):
         # a 1x1 feature map makes all four neighborhoods identical
