@@ -23,7 +23,7 @@ def encode_batch(x: nm.Tensor, cfg: ModelConfig, params: dict[str, nm.Tensor]) -
     head = nm.conv2d(x, params["head.w"], params["head.b"])
     h = head
     for i in range(cfg.encoder_blocks):
-        inner = nm.relu(nm.conv2d(h, params[f"block{i}.w1"], params[f"block{i}.b1"]))
+        inner = nm.conv2d(h, params[f"block{i}.w1"], params[f"block{i}.b1"], relu=True)
         h = nm.add(h, nm.conv2d(inner, params[f"block{i}.w2"], params[f"block{i}.b2"]))
     tail = nm.conv2d(h, params["tail.w"], params["tail.b"])
     return nm.add(tail, head)

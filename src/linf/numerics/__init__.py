@@ -28,7 +28,6 @@ from .tensor import (
     mul,
     neg,
     probe,
-    relu,
     reshape,
     solve_rows,
     sub,
@@ -64,7 +63,6 @@ __all__ = [
     "mul",
     "neg",
     "probe",
-    "relu",
     "reshape",
     "solve_rows",
     "sub",

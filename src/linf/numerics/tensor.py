@@ -39,25 +39,30 @@ def active_tape() -> "GradTape | None":
 @dataclass(eq=False)  # nested probes are told apart by identity
 class Probe:
     """What ran inside a probe() block: per-query pass counts by name (a
-    batched pass over Q rows counts Q), and the smallest distance of any
-    kinked op's input (relu, affine with relu, absolute, and the clamp in
-    conditioner_head) from its kink."""
+    batched pass over Q rows counts Q), and, for a probe opened with
+    margins=True, the smallest distance of any kinked op's input (relu in
+    affine and conv2d, absolute, and the clamp in conditioner_head) from its
+    kink; inf when no margin was read."""
 
     passes: dict[str, int] = field(default_factory=dict)
     kink_margin: float = np.inf
 
 
 @contextmanager
-def probe() -> Iterator[Probe]:
+def probe(margins: bool = False) -> Iterator[Probe]:
     """Open a Probe for the block; probes nest and each sees all inner work.
-    Probing reads inputs and never changes a result bit."""
+    Kink margins cost a pass over each kinked op's input, so they are read
+    only while a probe that asks for them is open. Probing reads inputs and
+    never changes a result bit."""
     p = Probe()
-    stack = _stack("probes")
-    stack.append(p)
+    stacks = [_stack("probes")] + ([_stack("margin_probes")] if margins else [])
+    for stack in stacks:
+        stack.append(p)
     try:
         yield p
     finally:
-        stack.remove(p)
+        for stack in stacks:
+            stack.remove(p)
 
 
 def count(name: str, n: int) -> None:
@@ -67,8 +72,9 @@ def count(name: str, n: int) -> None:
 
 
 def _kink_margin(x: np.ndarray, *kinks: float) -> None:
-    """Report x's smallest distance from any of its op's kinks to every open probe."""
-    probes = getattr(_state, "probes", None)
+    """Report x's smallest distance from any of its op's kinks to every open
+    probe that reads margins."""
+    probes = getattr(_state, "margin_probes", None)
     if probes:
         margin = min(float(np.abs(x - k).min(initial=np.inf)) for k in kinks)
         for p in probes:
@@ -294,10 +300,18 @@ def absolute(a) -> Tensor:
     return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    _kink_margin(a.data, 0.0)
-    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
+def _scatter_rounds(rows: np.ndarray) -> list[np.ndarray]:
+    """Positions of `rows` in rounds: round r holds the r-th occurrence of
+    every row that occurs more than r times, so no round repeats a row.
+    Adding round by round gives each row its contributions in index order,
+    the same additions in the same order as np.add.at."""
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    rank = np.arange(rows.size) - np.repeat(first, np.diff(np.append(first, rows.size)))
+    by_rank = order[np.argsort(rank, kind="stable")]
+    ends = np.cumsum(np.bincount(rank))
+    return np.split(by_rank, ends[:-1]) if rows.size else []
 
 
 def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
@@ -309,8 +323,12 @@ def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
     delta [Q, N, 2] relative coordinates and weights [Q, N] or None. Per
     neighbour theta = pi*(fy*dy + fx*dx) + phase and the output is
     amp * [cos theta | sin theta] * weight, written into one buffer. Same
-    values and gradients as the taped op chain kept in tests/oracles.py;
-    the tape keeps the gathered amplitudes and [cos | sin]."""
+    values and gradients as the taped op chain kept in tests/oracles.py.
+
+    The record keeps the output, [cos | sin] and the caller's idx, delta
+    and weights; backward gathers the amplitudes from amp again with the
+    same rows, and scatters the table gradients in rounds of distinct rows
+    (see _scatter_rounds)."""
     amp, freq, phases = _as_tensor(amp), _as_tensor(freq), _as_tensor(phases)
     q, n = idx.shape
     k2 = amp.shape[1]
@@ -331,12 +349,12 @@ def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
     np.cos(theta, out=cs[..., :k])
     np.sin(theta, out=cs[..., k:])
     del theta
-    a = np.take(amp.data, rows, axis=0).reshape(q, n, k2)
     w = None if weights is None else weights[:, :, None]
     # without a tape nothing reads [cos | sin] again, so scale it in place
     taped = active_tape() is not None and (amp.requires_grad or freq.requires_grad
                                            or phases.requires_grad)
-    out = np.multiply(cs, a, out=None if taped else cs)
+    out = np.multiply(cs, np.take(amp.data, rows, axis=0).reshape(q, n, k2),
+                      out=None if taped else cs)
     if w is not None:
         out *= w
 
@@ -344,21 +362,27 @@ def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
         g = g.reshape(q, n, k2)
         if w is not None:
             g = g * w
-        g_a = g * cs
-        g_cs = g * a
+        rounds = [(pos, rows[pos]) for pos in _scatter_rounds(rows)]
+        g_amp = np.zeros_like(amp.data)
+        g_a = (g * cs).reshape(q * n, k2)
+        for pos, at in rounds:
+            g_amp[at] += g_a[pos]
+        del g_a
+        g_cs = g * np.take(amp.data, rows, axis=0).reshape(q, n, k2)
         g_theta = g_cs[..., k:] * cs[..., :k]
         g_theta -= g_cs[..., :k] * cs[..., k:]
         del g_cs
         g_phases = g_theta.sum(axis=1, keepdims=True).reshape(q, k)
         g_theta *= np.pi
-        g_amp = np.zeros_like(amp.data)
-        np.add.at(g_amp, rows, g_a.reshape(q * n, k2))
-        del g_a
-        # the dy and dx gradients land in the even and odd columns of one buffer
+        # the dy and dx gradients interleave as freq's (fy, fx) columns do
+        g_f = np.empty((q, n, k2))
+        np.multiply(g_theta, dy, out=g_f[..., 0::2])
+        np.multiply(g_theta, dx, out=g_f[..., 1::2])
+        del g_theta
+        g_f = g_f.reshape(q * n, k2)
         g_freq = np.zeros_like(freq.data)
-        np.add.at(g_freq[:, 0::2], rows, (g_theta * dy).reshape(q * n, k))
-        g_theta *= dx
-        np.add.at(g_freq[:, 1::2], rows, g_theta.reshape(q * n, k))
+        for pos, at in rounds:
+            g_freq[at] += g_f[pos]
         return (g_amp, g_freq, g_phases)
 
     return _make(out.reshape(q, n * k2), (amp, freq, phases), bwd)
@@ -547,8 +571,9 @@ def solve_rows(y, w, lu: LuFactors | None = None) -> Tensor:
 CONV_BAND_ROWS = 1024  # padded-width output rows per conv2d band; keeps its sums in cache
 
 
-def conv2d(x, kernel, bias=None) -> Tensor:
-    """Same-padded 2-D convolution in HWC layout, plus an optional bias.
+def conv2d(x, kernel, bias=None, relu: bool = False) -> Tensor:
+    """Same-padded 2-D convolution in HWC layout, plus an optional bias and
+    relu.
 
     `x` is [H,W,Cin] or [N,H,W,Cin]; `kernel` is [k,k,Cin,Cout] with k odd;
     `bias` is [Cout] or None; zero padding. Each image is padded once into
@@ -558,16 +583,22 @@ def conv2d(x, kernel, bias=None) -> Tensor:
     The grid is done in bands of about CONV_BAND_ROWS rows; each band sums
     its offsets' products in (dy, dx) order in two reused buffers, and its
     crop to the W real columns and the bias add are one numpy add into the
-    output. Backward keeps the padded table: the kernel gradient contracts a
-    contiguous [N*H*W, Cin] copy of each shifted slice, and the input
-    gradient adds g @ K[dy, dx].T into the shifted slice of a padded buffer.
+    output. With relu the output is clipped at zero in place, after a probe
+    has read the pre-activation's kink margin.
+
+    The record keeps only the output; the padded table is freed when the
+    forward returns. Backward rebuilds it from x for the kernel gradient,
+    which contracts a contiguous [N*H*W, Cin] copy of each shifted slice;
+    the input gradient adds g @ K[dy, dx].T into the shifted slice of a
+    padded buffer; with relu, g is first masked by output > 0.
 
     Values and gradients are bit-identical to add(conv2d_per_offset(x, k),
-    bias) in tests/oracles.py, which runs one gemm per offset over the whole
-    batch, when Cout is a multiple of 8, as in every shipped config. For
-    other Cout, OpenBLAS may round the N tail of the smaller band gemms
-    differently (a few ulp); so may batches of several 1x1 images, where
-    numpy runs a gemv per image in place of one gemm.
+    bias), through relu when asked, in tests/oracles.py, which runs one
+    gemm per offset over the whole batch, when Cout is a multiple of 8, as
+    in every shipped config. For other Cout, OpenBLAS may round the N tail
+    of the smaller band gemms differently (a few ulp); so may batches of
+    several 1x1 images, where numpy runs a gemv per image in place of one
+    gemm.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
@@ -591,10 +622,14 @@ def conv2d(x, kernel, bias=None) -> Tensor:
             raise ShapeError(f"conv2d bias must be [{cout}], got {bias.shape}")
     pad = k // 2
     wp = w + 2 * pad
+
+    def padded() -> np.ndarray:
+        xp = np.zeros((n, h + 2 * pad, wp, cin))
+        xp[:, pad : pad + h, pad : pad + w] = xd
+        return xp
+
     band = max(1, min(h, CONV_BAND_ROWS // wp))  # image rows per band
-    xp = np.zeros((n, h + 2 * pad, wp, cin))
-    xp[:, pad : pad + h, pad : pad + w] = xd
-    xrows = xp.reshape(n, -1, cin)
+    xrows = padded().reshape(n, -1, cin)
     out = np.empty((n, h, w, cout))
     acc = np.empty((n, band * wp, cout))
     prod = np.empty_like(acc)
@@ -613,11 +648,18 @@ def conv2d(x, kernel, bias=None) -> Tensor:
             out[:, r0:r1] = crop
         else:
             np.add(crop, bias.data, out=out[:, r0:r1])
+    out = out[0] if squeeze else out
+    if relu:
+        _kink_margin(out, 0.0)
+        np.maximum(out, 0.0, out=out)
 
     def bwd(g_out):
+        if relu:
+            g_out = g_out * (out > 0.0)
         g2 = np.ascontiguousarray(g_out).reshape(n * h * w, cout)
         gk = gx = None
         if kernel.requires_grad:
+            xp = padded()
             gk = np.empty_like(kernel.data)
             xs = np.empty((n, h, w, cin))  # reused for every shifted slice
             for dy in range(k):
@@ -625,7 +667,7 @@ def conv2d(x, kernel, bias=None) -> Tensor:
                     np.copyto(xs, xp[:, dy : dy + h, dx : dx + w])
                     np.matmul(xs.reshape(-1, cin).T, g2, out=gk[dy, dx])
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((n, h + 2 * pad, wp, cin))
             gs = np.empty((n, h, w, cin))  # reused for every offset's product
             for dy in range(k):
                 for dx in range(k):
@@ -638,4 +680,4 @@ def conv2d(x, kernel, bias=None) -> Tensor:
         return (gx, gk, _unbroadcast(g_out, bias.shape))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _make(out[0] if squeeze else out, parents, bwd)
+    return _make(out, parents, bwd)

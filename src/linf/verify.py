@@ -161,7 +161,7 @@ def check_gradient_audit(full: bool) -> tuple[bool, str]:
     # margin keeps every one strictly on one side of its kink
     for seed in range(16):
         model, batch, cfg = _micro_setup(seed)
-        with nm.probe() as p:
+        with nm.probe(margins=True) as p:
             loss_components(batch, model, cfg)
         if p.kink_margin > 2e-4:
             break

@@ -7,7 +7,8 @@ compute the same quantities one query at a time, from a feature map tensor
 taped op chain that the fused `numerics.fourier_gather` replaces, and
 `cos_sin` with `cos`, `sin` and `concat` the chain behind its [cos | sin].
 `conv2d_per_offset` is the convolution `numerics.conv2d` replaced: one
-contiguous copy of the shifted input per kernel offset, and
+contiguous copy of the shifted input per kernel offset; `relu` the
+activation that `numerics.affine` and `numerics.conv2d` fuse; and
 `conditioner_head_chain` the per-layer getitem/`clamp`/exp chain that the
 fused `numerics.conditioner_head` replaced.
 """
@@ -27,6 +28,12 @@ from linf.implicit import (
     neighborhood_geometry,
     phase_vector,
 )
+
+
+def relu(a) -> Tensor:
+    a = _as_tensor(a)
+    _kink_margin(a.data, 0.0)
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:

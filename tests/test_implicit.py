@@ -408,7 +408,7 @@ class TestConditionerHead:
         loss over the outputs named in `used`; -0.0 sits in every readout."""
         rng = np.random.default_rng(72)
         h = nm.tensor(head, requires_grad=True)
-        with nm.probe() as p, nm.GradTape() as tape:
+        with nm.probe(margins=True) as p, nm.GradTape() as tape:
             parts = split(h, self.LAYERS, dim, ALPHA_CLAMP)
             records = len(tape)
             total = nm.tensor(0.0)
@@ -479,7 +479,7 @@ class TestConditionerHead:
             b[:2] = [9.0, -9.0]  # two alpha_pre columns clamp-saturated
             bias.assign_(b)
             batch = make_batch(corpus, cfg, np.random.default_rng(74), patch_side=patch_side)
-            with nm.probe() as p, nm.GradTape() as tape:
+            with nm.probe(margins=True) as p, nm.GradTape() as tape:
                 total, _, _ = loss_components(batch, model, cfg)
             tape.backward(total)
             grads = {k: t.grad for k, t in model.parameters().items()}

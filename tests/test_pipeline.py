@@ -346,7 +346,7 @@ class TestSuperResolve:
         head.assign_(np.random.default_rng(81).normal(size=head.shape) * 0.1)
         lr = Image(np.random.default_rng(82).random((7, 6, 3)))
         plain = super_resolve(lr, 2.5, tau, model, ensemble=ensemble, seed=seed)
-        with nm.probe() as p:
+        with nm.probe(margins=True) as p:
             probed = super_resolve(lr, 2.5, tau, model, ensemble=ensemble, seed=seed)
         assert p.passes["conditioner"] > 0 and p.kink_margin < np.inf
         assert probed.data.tobytes() == plain.data.tobytes()

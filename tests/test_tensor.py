@@ -2,6 +2,8 @@
 
 import importlib
 import threading
+import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from linf import numerics as nm
 from linf.errors import ConfigError, ShapeError, UsageError
 
 from .oracles import (
-    clamp, concat, conv2d_per_offset, cos, cos_sin, ensemble_features_chain, sin,
+    clamp, concat, conv2d_per_offset, cos, cos_sin, ensemble_features_chain, relu, sin,
 )
 
 # the submodule; `nm.tensor` is the constructor function
@@ -140,15 +142,24 @@ def _conv_shapes(rng, count, couts):
     return shapes
 
 
-def _conv_pair(shape, cout, rng):
-    """(fused, oracle): conv2d(x, k, b) and add(per-offset conv, b), outputs
-    and the x, k, b gradients under one random readout."""
+def _conv_pair(shape, cout, rng, with_relu=False):
+    """(fused, oracle): conv2d(x, k, b, relu) and add(per-offset conv, b),
+    through the oracle relu when asked: each the output, the x, k, b
+    gradients under one random readout, and the probe's kink margin."""
     arrays = [rng.normal(size=shape), rng.normal(size=(3, 3, shape[-1], cout)) / 8.0,
               rng.normal(size=cout)]
     seed = int(rng.integers(1 << 30))
-    fused = _readout_grads(nm.conv2d, arrays, seed)
-    oracle = _readout_grads(lambda x, k, b: nm.add(conv2d_per_offset(x, k), b), arrays, seed)
-    return fused, oracle
+
+    def oracle_op(x, k, b):
+        out = nm.add(conv2d_per_offset(x, k), b)
+        return relu(out) if with_relu else out
+
+    pair = []
+    for op in (lambda x, k, b: nm.conv2d(x, k, b, relu=with_relu), oracle_op):
+        with nm.probe(margins=True) as p:
+            out, grads = _readout_grads(op, arrays, seed)
+        pair.append((out, grads, p.kink_margin))
+    return pair
 
 
 class TestConv2dShiftedGemm:
@@ -161,12 +172,16 @@ class TestConv2dShiftedGemm:
         if band_rows is not None:
             monkeypatch.setattr(tensor_module, "CONV_BAND_ROWS", band_rows)
         rng = np.random.default_rng(601)
-        for shape, cout in _conv_shapes(rng, 24, [8, 32]):
-            (out, grads), (out_o, grads_o) = _conv_pair(shape, cout, rng)
+        for i, (shape, cout) in enumerate(_conv_shapes(rng, 24, [8, 32])):
+            with_relu = i % 2 == 1  # every other shape runs through relu
+            (out, grads, margin), (out_o, grads_o, margin_o) = _conv_pair(
+                shape, cout, rng, with_relu)
             assert out.flags.c_contiguous
-            assert out.tobytes() == out_o.tobytes(), (shape, cout)
+            assert out.view(np.int64).tobytes() == out_o.view(np.int64).tobytes(), (shape, cout)
             for name, g, g_o in zip(("x", "kernel", "bias"), grads, grads_o):
-                assert g.tobytes() == g_o.tobytes(), (shape, cout, name)
+                np.testing.assert_array_equal(g.view(np.int64), g_o.view(np.int64),
+                                              err_msg=f"{shape} {cout} {name}")
+            assert margin == margin_o and (margin < np.inf) == with_relu
 
     def test_unkept_bits_within_1e_13(self):
         # Cout not a multiple of 8 (OpenBLAS's small-matrix kernel rounds an N
@@ -175,24 +190,38 @@ class TestConv2dShiftedGemm:
         rng = np.random.default_rng(602)
         cases = _conv_shapes(rng, 8, [60]) + [((2, 1, 1, 32), 32), ((5, 1, 1, 3), 8)]
         for shape, cout in cases:
-            (out, grads), (out_o, grads_o) = _conv_pair(shape, cout, rng)
+            (out, grads, _), (out_o, grads_o, _) = _conv_pair(shape, cout, rng)
             assert np.max(np.abs(out - out_o)) <= 1e-13, shape
             for g, g_o in zip(grads, grads_o):
                 assert np.max(np.abs(g - g_o)) <= 1e-13, shape
 
     def test_unbatched_input_with_bias(self):
         rng = np.random.default_rng(603)
-        (out, grads), (out_o, grads_o) = _conv_pair((5, 7, 8), 8, rng)
-        assert out.shape == (5, 7, 8) and grads[0].shape == (5, 7, 8)
-        assert out.tobytes() == out_o.tobytes()
-        for g, g_o in zip(grads, grads_o):
-            assert g.tobytes() == g_o.tobytes()
+        for with_relu in (False, True):
+            (out, grads, margin), (out_o, grads_o, margin_o) = _conv_pair(
+                (5, 7, 8), 8, rng, with_relu)
+            assert out.shape == (5, 7, 8) and grads[0].shape == (5, 7, 8)
+            assert out.view(np.int64).tobytes() == out_o.view(np.int64).tobytes()
+            for g, g_o in zip(grads, grads_o):
+                np.testing.assert_array_equal(g.view(np.int64), g_o.view(np.int64))
+            assert margin == margin_o
 
     def test_bias_is_one_tape_record(self):
         x = nm.Tensor(np.ones((4, 4, 3)), requires_grad=True)
-        with nm.GradTape() as tape:
-            nm.conv2d(x, np.ones((3, 3, 3, 8)), np.ones(8))
-        assert len(tape) == 1
+        for with_relu in (False, True):
+            with nm.GradTape() as tape:
+                nm.conv2d(x, np.ones((3, 3, 3, 8)), np.ones(8), relu=with_relu)
+            assert len(tape) == 1
+
+    def test_record_keeps_only_its_output(self):
+        rng = np.random.default_rng(605)
+        x = nm.Tensor(rng.normal(size=(2, 24, 24, 8)), requires_grad=True)
+        k = nm.Tensor(rng.normal(size=(3, 3, 8, 8)), requires_grad=True)
+        b = nm.Tensor(rng.normal(size=8), requires_grad=True)
+        for with_relu in (False, True):
+            kept, out = _retained_bytes(lambda: nm.conv2d(x, k, b, relu=with_relu))
+            # the padded row table alone would add 2*26*26*8 floats
+            assert kept <= out.data.nbytes + TAPE_SLACK, (with_relu, kept)
 
     def test_bias_shape_checked(self):
         with pytest.raises(ShapeError):
@@ -277,7 +306,7 @@ PRIMITIVE_CASES = [
     ("cos", lambda a: cos(a), 1),
     ("sin", lambda a: sin(a), 1),
     ("cos_sin", lambda a: cos_sin(a), 1),
-    ("relu_shifted", lambda a: nm.relu(nm.add(a, 0.2)), 1),
+    ("relu_shifted", lambda a: relu(nm.add(a, 0.2)), 1),
     ("neg", lambda a: nm.neg(a), 1),
     ("reshape", lambda a: nm.reshape(a, (a.size,)), 1),
     ("sum_axis0", lambda a: nm.tsum(a, axis=0), 1),
@@ -318,9 +347,30 @@ def _readout_grads(build, arrays, seed):
     return out.data, [t.grad for t in tensors]
 
 
-def _affine_chain(x, w, b, relu):
+# bytes of the tape's own objects (the tape, records, closures and output
+# Tensor headers) over what a record keeps in arrays
+TAPE_SLACK = 16 * 1024
+
+
+def _retained_bytes(build):
+    """(bytes allocated by build() under a tape and still held after it
+    returns, its output): the output and whatever the record keeps for
+    backward. Inputs are allocated before tracing starts."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with nm.GradTape() as tape:
+            out = build()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    return kept, out
+
+
+def _affine_chain(x, w, b, with_relu):
     out = nm.add(nm.matmul(x, w), b)
-    return nm.relu(out) if relu else out
+    return relu(out) if with_relu else out
 
 
 class TestFusedOps:
@@ -437,6 +487,30 @@ class TestFourierGather:
         for t, d in zip(tensors, datas):
             assert rel(t.grad, numeric_grad(f, d)) < 1e-7
 
+    def test_record_keeps_cos_sin_and_no_gathered_amplitudes(self):
+        rng = np.random.default_rng(106)
+        q, n, k = 64, 4, 16
+        amp, freq = (nm.Tensor(rng.normal(size=(30, 2 * k)), requires_grad=True)
+                     for _ in range(2))
+        phases = nm.Tensor(rng.normal(size=(q, k)), requires_grad=True)
+        idx, delta = rng.integers(30, size=(q, n)), rng.normal(size=(q, n, 2))
+        kept, out = _retained_bytes(lambda: nm.fourier_gather(amp, freq, phases, idx, delta))
+        cos_sin_bytes = out.data.nbytes  # [Q, N, 2K], as the output
+        # the gathered amplitudes would add another output's worth
+        assert kept <= out.data.nbytes + cos_sin_bytes + idx.nbytes + delta.nbytes + TAPE_SLACK
+
+    def test_zero_queries(self):
+        rng = np.random.default_rng(107)
+        tensors = [nm.Tensor(rng.normal(size=(5, 6)), requires_grad=True) for _ in range(2)]
+        tensors.append(nm.Tensor(np.zeros((0, 3)), requires_grad=True))
+        with nm.GradTape() as tape:
+            out = nm.fourier_gather(*tensors, np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4, 2)))
+            loss = nm.tsum(out)
+        tape.backward(loss)
+        assert out.shape == (0, 24)
+        for t in tensors:
+            assert t.grad.shape == t.shape and not t.grad.any()
+
     def test_one_tape_record_per_ensemble(self):
         rng = np.random.default_rng(104)
         arrays, args = _ensemble_case("stacked", rng)
@@ -444,6 +518,50 @@ class TestFourierGather:
         with nm.GradTape() as tape:
             implicit.ensemble_features(*tensors, *args)
         assert len(tape) == 1
+
+
+class TestScatterRounds:
+    """fourier_gather's backward scatter against np.add.at, bit for bit."""
+
+    @staticmethod
+    def _rounds_add(target, rows, vals):
+        for pos in tensor_module._scatter_rounds(rows):
+            target[rows[pos]] += vals[pos]
+
+    @staticmethod
+    def _row_cases(rng):
+        """Row index arrays: every multiplicity 1..16 at once, one row only,
+        no rows, then seeded random draws."""
+        yield rng.permutation(np.repeat(np.arange(16), np.arange(1, 17)))
+        yield np.zeros(9, dtype=np.int64)
+        yield np.zeros(0, dtype=np.int64)
+        for _ in range(30):
+            yield rng.integers(int(rng.integers(1, 12)), size=int(rng.integers(1, 90)))
+
+    def test_bit_equal_to_add_at(self):
+        rng = np.random.default_rng(108)
+        for rows in self._row_cases(rng):
+            r = int(rows.max(initial=0)) + 1
+            # magnitudes over 16 decades and signed zeros, so the order of
+            # additions shows in the bits
+            vals = rng.normal(size=(rows.size, 12)) * 10.0 ** rng.integers(-8, 9, (rows.size, 1))
+            vals[rng.random(vals.shape) < 0.1] = -0.0
+            # whole rows, and the strided even and odd columns of one buffer
+            for cols, width in ((slice(None), 12), (slice(0, None, 2), 6), (slice(1, None, 2), 6)):
+                part = vals[:, :width]
+                want, got = np.zeros((r, 12)), np.zeros((r, 12))
+                np.add.at(want[:, cols], rows, part)
+                self._rounds_add(got[:, cols], rows, part)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_rounds_hold_distinct_rows(self):
+        rows = np.random.default_rng(109).permutation(np.repeat(np.arange(16), np.arange(1, 17)))
+        rounds = tensor_module._scatter_rounds(rows)
+        assert len(rounds) == 16
+        assert sorted(np.concatenate(rounds).tolist()) == list(range(rows.size))
+        for r, pos in enumerate(rounds):
+            assert len(set(rows[pos].tolist())) == pos.size == 16 - r
+        assert tensor_module._scatter_rounds(np.zeros(0, dtype=np.int64)) == []
 
 
 class TestStructureOps:
@@ -507,10 +625,10 @@ class TestProbe:
         assert second.kink_margin == np.inf
 
     def test_nested_probes_both_see_inner_work(self):
-        with nm.probe() as outer:
+        with nm.probe(margins=True) as outer:
             nm.count("conditioner", 1)
-            nm.relu(np.array([2.0, -3.0]))
-            with nm.probe() as inner:
+            relu(np.array([2.0, -3.0]))
+            with nm.probe(margins=True) as inner:
                 nm.count("conditioner", 4)
                 nm.absolute(np.array([0.5, -1.0]))
             nm.count("flow_forward", 2)
@@ -519,16 +637,30 @@ class TestProbe:
         assert outer.passes == {"conditioner": 5, "flow_forward": 2}
         assert outer.kink_margin == 0.5
 
+    def test_margins_only_for_probes_that_ask(self):
+        with nm.probe(margins=True) as outer:
+            with nm.probe() as counting:
+                nm.count("conditioner", 2)
+                relu(np.array([0.5, -1.0]))
+            with nm.probe(margins=True) as inner:
+                nm.absolute(np.array([0.25]))
+        assert counting.passes == outer.passes == {"conditioner": 2}
+        assert counting.kink_margin == np.inf
+        assert inner.kink_margin == outer.kink_margin == 0.25
+
     @pytest.mark.parametrize("op,want", [
-        (nm.relu, 0.25),
+        (relu, 0.25),
         (nm.absolute, 0.25),
         (lambda a: clamp(a, -1.0, 3.0), 0.5),  # 3.5 is 0.5 above hi, -1.5 0.5 below lo
         (lambda a: clamp(a, -2.0, 2.0), 0.25),  # 2.25 is 0.25 above hi
         # one layer of D = 3: the first three values form its alpha_pre block
         (lambda a: nm.conditioner_head(a.reshape(1, 6), 1, 3, 2.0), 0.25),
-    ], ids=["relu", "absolute", "clamp-outside", "clamp-inside", "conditioner-head"])
+        # a 1x1 identity kernel: the pre-activation is the input itself
+        (lambda a: nm.conv2d(a[:, :, None], np.ones((1, 1, 1, 1)), relu=True), 0.25),
+    ], ids=["relu", "absolute", "clamp-outside", "clamp-inside", "conditioner-head",
+            "conv2d-relu"])
     def test_kink_margin_is_the_hand_computed_minimum(self, op, want):
-        with nm.probe() as p:
+        with nm.probe(margins=True) as p:
             op(_KINK_INPUT)
         assert p.kink_margin == want
         assert p.passes == {}
@@ -537,25 +669,53 @@ class TestProbe:
         # x @ w + b = [[-0.75, 0.5], [1.25, -1.5]]; the output after relu
         # holds exact zeros, so a margin read after the write would be 0
         x, w, b = np.eye(2), np.array([[-1.0, 0.0], [1.0, -2.0]]), np.array([0.25, 0.5])
-        with nm.probe() as p:
+        with nm.probe(margins=True) as p:
             out = nm.affine(x, w, b, relu=True)
         assert p.kink_margin == 0.5
         assert out.data.min() == 0.0
-        with nm.probe() as p:
+        with nm.probe(margins=True) as p:
             nm.affine(x, w, b)  # no relu, no kink
         assert p.kink_margin == np.inf
 
     def test_empty_input_reports_no_margin(self):
-        with nm.probe() as p:
-            nm.relu(np.zeros((0, 3)))
+        with nm.probe(margins=True) as p:
+            relu(np.zeros((0, 3)))
             clamp(np.zeros(0), -1.0, 1.0)
             nm.conditioner_head(np.zeros((0, 6)), 1, 3, 1.0)
         assert p.kink_margin == np.inf
 
     def test_probes_are_per_thread(self):
-        with nm.probe() as p:
+        with nm.probe(margins=True) as p:
             worker = threading.Thread(target=lambda: (nm.count("conditioner", 9),
-                                                      nm.relu(np.array([0.0]))))
+                                                      relu(np.array([0.0]))))
             worker.start()
             worker.join()
         assert p.passes == {} and p.kink_margin == np.inf
+
+    def test_pass_count_probe_allocates_nothing(self):
+        """Kink margins allocate |x - k| over each kinked input; a probe that
+        only counts passes must not pay for them."""
+        rng = np.random.default_rng(606)
+        x, w, b = rng.normal(size=(256, 24)), rng.normal(size=(24, 32)), rng.normal(size=32)
+        head = rng.normal(size=(256, 2 * 3 * 8))
+        image = rng.normal(size=(16, 16, 8))
+
+        def kinked_ops():
+            relu(x)
+            nm.affine(x, w, b, relu=True)
+            nm.conditioner_head(head, 3, 8, 1.0)
+            nm.conv2d(image, np.ones((1, 1, 8, 8)), relu=True)
+
+        def traced_peak(margins):
+            with nm.probe(margins=margins) if margins is not None else nullcontext():
+                tracemalloc.start()
+                try:
+                    kinked_ops()
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        kinked_ops()  # first calls warm numpy's caches
+        plain, counting, reading = (traced_peak(m) for m in (None, False, True))
+        assert counting == plain
+        assert reading > plain + x.nbytes  # a margin read allocates |x - k|

@@ -140,7 +140,7 @@ class TestLoss:
             return {k: p.grad.view(np.int64).copy() for k, p in model.parameters().items()}
 
         plain = grads()
-        with nm.probe() as p:
+        with nm.probe(margins=True) as p:
             probed = grads()
         assert p.passes["flow_forward"] == p.passes["flow_inverse"] == batch.coords.shape[0]
         assert 0.0 < p.kink_margin < np.inf
