@@ -81,6 +81,18 @@ def _kink_margin(x: np.ndarray, *kinks: float) -> None:
             p.kink_margin = min(p.kink_margin, margin)
 
 
+def _relu_in_place(out: np.ndarray) -> None:
+    """Clip a fused op's pre-activation at zero in place, after a probe has
+    read its kink margin."""
+    _kink_margin(out, 0.0)
+    np.maximum(out, 0.0, out=out)
+
+
+def _relu_mask(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g masked by a fused relu's output: the gradient through the clip."""
+    return g * (out > 0.0)
+
+
 class Tensor:
     """N-dimensional float64 array, optionally participating in a tape."""
 
@@ -401,12 +413,11 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
     out = x.data @ w.data
     out += b.data
     if relu:
-        _kink_margin(out, 0.0)
-        np.maximum(out, 0.0, out=out)
+        _relu_in_place(out)
 
     def bwd(g):
         if relu:
-            g = g * (out > 0.0)
+            g = _relu_mask(g, out)
         return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
 
     return _make(out, (x, w, b), bwd)
@@ -650,12 +661,11 @@ def conv2d(x, kernel, bias=None, relu: bool = False) -> Tensor:
             np.add(crop, bias.data, out=out[:, r0:r1])
     out = out[0] if squeeze else out
     if relu:
-        _kink_margin(out, 0.0)
-        np.maximum(out, 0.0, out=out)
+        _relu_in_place(out)
 
     def bwd(g_out):
         if relu:
-            g_out = g_out * (out > 0.0)
+            g_out = _relu_mask(g_out, out)
         g2 = np.ascontiguousarray(g_out).reshape(n * h * w, cout)
         gk = gx = None
         if kernel.requires_grad:

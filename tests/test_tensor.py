@@ -172,16 +172,18 @@ class TestConv2dShiftedGemm:
         if band_rows is not None:
             monkeypatch.setattr(tensor_module, "CONV_BAND_ROWS", band_rows)
         rng = np.random.default_rng(601)
-        for i, (shape, cout) in enumerate(_conv_shapes(rng, 24, [8, 32])):
-            with_relu = i % 2 == 1  # every other shape runs through relu
-            (out, grads, margin), (out_o, grads_o, margin_o) = _conv_pair(
-                shape, cout, rng, with_relu)
-            assert out.flags.c_contiguous
-            assert out.view(np.int64).tobytes() == out_o.view(np.int64).tobytes(), (shape, cout)
-            for name, g, g_o in zip(("x", "kernel", "bias"), grads, grads_o):
-                np.testing.assert_array_equal(g.view(np.int64), g_o.view(np.int64),
-                                              err_msg=f"{shape} {cout} {name}")
-            assert margin == margin_o and (margin < np.inf) == with_relu
+        relu_rng = np.random.default_rng(611)  # keeps the plain cases' draws on rng
+        for shape, cout in _conv_shapes(rng, 24, [8, 32]):
+            for with_relu, pair_rng in ((False, rng), (True, relu_rng)):
+                (out, grads, margin), (out_o, grads_o, margin_o) = _conv_pair(
+                    shape, cout, pair_rng, with_relu)
+                case = f"{shape} {cout} relu={with_relu}"
+                assert out.flags.c_contiguous
+                assert out.view(np.int64).tobytes() == out_o.view(np.int64).tobytes(), case
+                for name, g, g_o in zip(("x", "kernel", "bias"), grads, grads_o):
+                    np.testing.assert_array_equal(g.view(np.int64), g_o.view(np.int64),
+                                                  err_msg=f"{case} {name}")
+                assert margin == margin_o and (margin < np.inf) == with_relu, case
 
     def test_unkept_bits_within_1e_13(self):
         # Cout not a multiple of 8 (OpenBLAS's small-matrix kernel rounds an N
