@@ -26,6 +26,7 @@ from . import numerics as nm
 from .config import DataConfig, load_config
 from .corpus import toy_corpus
 from .errors import ConfigError, LinfError, TrainingError, UsageError
+from .flow import check_tau
 from .imaging import (
     Image, MetricReport, bicubic_resample, check_writable, diversity, psnr, read_image, ssim,
     write_image,
@@ -160,9 +161,8 @@ def _parse_taus(text: str) -> list[float]:
         raise UsageError(f"--taus must be comma-separated numbers, got {text!r}") from None
     if not taus:
         raise UsageError("no tau values given")
-    bad = [t for t in taus if not (np.isfinite(t) and t >= 0.0)]
-    if bad:
-        raise UsageError(f"tau must be finite and >= 0, got {bad[0]}")
+    for tau in taus:
+        check_tau(tau)
     return taus
 
 

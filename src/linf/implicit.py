@@ -60,22 +60,21 @@ class ConditionerOutput:
     def layers(self) -> int:
         return len(self.alpha)
 
-    @property
-    def batch(self) -> int:
-        return self.alpha[0].shape[0]
-
 
 # -- lattice geometry ----------------------------------------------------------------
 
 
 def neighborhood_geometry(
-    height: int, width: int, x_q: np.ndarray
+    height: int, width: int, x_q: np.ndarray, crop: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized 2x2 neighborhoods for queries x_q of shape [Q, 2].
+    """Vectorized 2x2 neighborhoods for queries x_q [Q, 2]; the one place
+    that maps a lattice position to a row of the row-major bank-map table.
 
-    Returns (indices [Q,4,2] clamped, coords [Q,4,2] clamped centers,
-    weights [Q,4]). Entry order is TL, TR, BL, BR. The weight of an entry is
-    the bilinear area opposite it within the virtual lattice cell.
+    Returns (rows [Q,4] of the border-clamped neighbors, delta [Q,4,2] =
+    x_q minus each clamped center, weights [Q,4]). Entry order is TL, TR,
+    BL, BR. The weight of an entry is the bilinear area opposite it within
+    the virtual lattice cell. With `crop` [Q], the table stacks B lattices
+    and query i reads lattice crop[i], whose rows start at H*W*crop[i].
     """
     x_q = np.atleast_2d(np.asarray(x_q, dtype=np.float64))
     q = x_q.shape[0]
@@ -88,13 +87,15 @@ def neighborhood_geometry(
     v = fy - r0
     u = fx - c0
     weights = np.stack([(1 - v) * (1 - u), (1 - v) * u, v * (1 - u), v * u], axis=1)
-    rows = np.clip(np.stack([r0, r0, r0 + 1, r0 + 1], axis=1), 0, height - 1)
-    cols = np.clip(np.stack([c0, c0 + 1, c0, c0 + 1], axis=1), 0, width - 1)
-    indices = np.stack([rows, cols], axis=2)
-    coords = np.empty((q, 4, 2))
-    coords[:, :, 0] = (2.0 * rows + 1.0) / height - 1.0
-    coords[:, :, 1] = (2.0 * cols + 1.0) / width - 1.0
-    return indices, coords, weights
+    r = np.clip(np.stack([r0, r0, r0 + 1, r0 + 1], axis=1), 0, height - 1)
+    c = np.clip(np.stack([c0, c0 + 1, c0, c0 + 1], axis=1), 0, width - 1)
+    delta = np.empty((q, 4, 2))
+    delta[:, :, 0] = x_q[:, 0:1] - ((2.0 * r + 1.0) / height - 1.0)
+    delta[:, :, 1] = x_q[:, 1:2] - ((2.0 * c + 1.0) / width - 1.0)
+    rows = r * width + c
+    if crop is not None:
+        rows += height * width * crop[:, None]
+    return rows, delta, weights
 
 
 # -- Fourier features ---------------------------------------------------------------------
@@ -118,22 +119,17 @@ def ensemble_features(
     amap_flat: nm.Tensor,
     fmap_flat: nm.Tensor,
     phases: nm.Tensor,
-    x_q: np.ndarray,
-    indices: np.ndarray,
-    coords: np.ndarray,
+    rows: np.ndarray,
+    delta: np.ndarray,
     weights: np.ndarray,
-    lattice_width: int,
     weighting: str = WEIGHTING_FULL,
 ) -> nm.Tensor:
     """Concatenated weighted Fourier features of the four neighbors: [Q, 8K].
 
-    amap_flat/fmap_flat are bank maps flattened to [H*W, 2K]; phases is [Q, K]
-    (already expanded per query); indices/coords/weights come from
-    neighborhood_geometry, with row indices offset for stacked lattices
-    (see condition). One taped op (`numerics.fourier_gather`).
+    amap_flat/fmap_flat are bank-map tables [rows, 2K]; phases is [Q, K]
+    (already expanded per query); rows/delta/weights come from
+    neighborhood_geometry. One taped op (`numerics.fourier_gather`).
     """
-    rows = indices[:, :, 0] * lattice_width + indices[:, :, 1]
-    delta = np.atleast_2d(x_q)[:, None, :] - coords  # [Q,4,2]
     return nm.fourier_gather(amap_flat, fmap_flat, phases, rows, delta,
                              weights if weighting == WEIGHTING_FULL else None)
 
@@ -142,7 +138,7 @@ def ensemble_features(
 
 
 def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
-    """MLP trunk over kappa ([Q, 8K] or [8K]) producing per-layer (alpha, phi).
+    """MLP trunk over kappa [Q, 8K] producing per-layer (alpha, phi).
 
     The head output holds per layer contiguous (alpha_pre_k, phi_k) blocks
     of D each, k ascending; one op (`numerics.conditioner_head`) clamps,
@@ -152,8 +148,6 @@ def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
     after the first trunk layer, and the trunk output before the head op
     allocates its buffer.
     """
-    if kappa.ndim == 1:
-        kappa = kappa.reshape(1, kappa.shape[0])
     nm.count("conditioner", kappa.shape[0])
     h = nm.affine(kappa, params["trunk.w1"], params["trunk.b1"], relu=True)
     del kappa
@@ -164,18 +158,14 @@ def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
 
 
 def condition(
-    params: ImplicitParams, amap_flat: nm.Tensor, fmap_flat: nm.Tensor, lattice: tuple[int, int],
-    x_q: np.ndarray, phases: nm.Tensor, crop: np.ndarray | None = None,
+    params: ImplicitParams, amap: nm.Tensor, fmap: nm.Tensor, x_q: np.ndarray,
+    phases: nm.Tensor, crop: np.ndarray | None = None,
 ) -> ConditionerOutput:
-    """Condition for queries x_q [Q, 2] on an h x w lattice of bank maps.
-
-    amap_flat/fmap_flat are [H*W, 2K] flattened bank maps and phases is
-    [Q, K]. With `crop` [Q], the maps are B lattices stacked along H and
-    query i reads lattice crop[i], whose rows start at h * crop[i].
-    """
-    h, w = lattice
-    indices, coords, weights = neighborhood_geometry(h, w, x_q)
-    if crop is not None:
-        indices[:, :, 0] += h * crop[:, None]
-    return conditioner(ensemble_features(amap_flat, fmap_flat, phases, x_q, indices, coords,
-                                         weights, w, params.cfg.ensemble_weighting), params)
+    """Condition for queries x_q [Q, 2] on bank maps [H, W, 2K] or, with
+    `crop` [Q], on B lattices [B, H, W, 2K] where query i reads lattice
+    crop[i]. phases is [Q, K]."""
+    height, width, k2 = amap.shape[-3:]
+    rows, delta, weights = neighborhood_geometry(height, width, x_q, crop)
+    return conditioner(ensemble_features(
+        amap.reshape(-1, k2), fmap.reshape(-1, k2), phases, rows, delta, weights,
+        params.cfg.ensemble_weighting), params)

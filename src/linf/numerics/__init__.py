@@ -21,7 +21,6 @@ from .tensor import (
     div,
     exp,
     fourier_gather,
-    getitem,
     index_rows,
     logabsdet,
     matmul,
@@ -54,7 +53,6 @@ __all__ = [
     "finite_diff_grad",
     "finite_diff_jacobian",
     "fourier_gather",
-    "getitem",
     "grad_rel_error",
     "index_rows",
     "logabsdet",

@@ -134,10 +134,7 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # -- indexing and reshaping ------------------------------------------------
-
-    def __getitem__(self, key):
-        return getitem(self, key)
+    # -- reshaping -------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -500,17 +497,6 @@ def transpose(a) -> Tensor:
 def reshape(a, shape: tuple) -> Tensor:
     a = _as_tensor(a)
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def getitem(a, key) -> Tensor:
-    a = _as_tensor(a)
-
-    def bwd(g):
-        buf = np.zeros_like(a.data)
-        buf[key] = g
-        return (buf,)
-
-    return _make(a.data[key].copy(), (a,), bwd)
 
 
 def index_rows(a, idx: np.ndarray) -> Tensor:

@@ -178,9 +178,8 @@ def coverage_mask(grid: PatchGrid) -> np.ndarray:
 
 def generate_texture_patches(
     model: Model,
-    amap_flat: nm.Tensor,
-    fmap_flat: nm.Tensor,
-    lr_shape: tuple[int, int],
+    amap: nm.Tensor,
+    fmap: nm.Tensor,
     centers: np.ndarray,
     phases: nm.Tensor,
     z: np.ndarray,
@@ -188,25 +187,24 @@ def generate_texture_patches(
 ) -> np.ndarray:
     """Run conditioner + flow inverse for a block of queries; returns [Q, D].
 
-    amap_flat/fmap_flat are the image's bank maps flattened to [H*W, 2K] and
-    phases is [Q, K] (`phase_vector` of the queries' cells)."""
+    amap/fmap are the image's bank maps [H, W, 2K] and phases is [Q, K]
+    (`phase_vector` of the queries' cells)."""
     params = model.implicit_params
-    q = centers.shape[0]
     if ensemble == ENSEMBLE_FOURIER:
-        cond = condition(params, amap_flat, fmap_flat, lr_shape, centers, phases)
+        cond = condition(params, amap, fmap, centers, phases)
         return model.flow.inverse(nm.tensor(z), cond).data
     if ensemble == ENSEMBLE_LOCAL:
-        h, w = lr_shape
-        indices, coords, weights = neighborhood_geometry(h, w, centers)
-        out = np.zeros((q, model.cfg.patch_dim))
+        rows, delta, weights = neighborhood_geometry(*amap.shape[:2], centers)
+        amap_flat, fmap_flat = (m.reshape(-1, m.shape[-1]) for m in (amap, fmap))
+        out = np.zeros((centers.shape[0], model.cfg.patch_dim))
         for nb in range(4):
             # as if neighbour nb were the whole neighbourhood: every slot
             # carries its features (with its own relative coordinate)
             cond_nb = conditioner(ensemble_features(
-                amap_flat, fmap_flat, phases, centers,
-                np.repeat(indices[:, nb : nb + 1], 4, axis=1),
-                np.repeat(coords[:, nb : nb + 1], 4, axis=1),
-                weights, w, params.cfg.ensemble_weighting,
+                amap_flat, fmap_flat, phases,
+                np.repeat(rows[:, nb : nb + 1], 4, axis=1),
+                np.repeat(delta[:, nb : nb + 1], 4, axis=1),
+                weights, params.cfg.ensemble_weighting,
             ), params)
             out += weights[:, nb : nb + 1] * model.flow.inverse(nm.tensor(z), cond_nb).data
         return out
@@ -230,23 +228,24 @@ def super_resolve(
     not depend on chunking. The outputs can differ in their last bits between
     chunk sizes, because BLAS picks its GEMM kernels by row count.
 
-    Per image: the encoder and the bank maps with their [H*W, 2K]
-    flattening, the texture patches, and at the end the bilinear base, to
-    which the texture is added and which is clipped in place. Per chunk of
-    queries: its patch centers and latents, the condition
-    (`implicit.condition`) and the flow inverse. Phases depend only on the
-    chunk size, so they are computed again only for a shorter last chunk.
+    Per image: the encoder and the bank maps, the texture patches, and at
+    the end the bilinear base, to which the texture is added and which is
+    clipped in place. Per chunk of queries: its patch centers and latents,
+    the condition (`implicit.condition`) and the flow inverse. Phases
+    depend only on the chunk size, so they are computed again only for a
+    shorter last chunk.
     """
     spec = ScaleSpec(s, lr.height, lr.width)
     if chunk < 1:
         raise UsageError(f"chunk must be >= 1, got {chunk}")
     check_tau(tau)
+    if ensemble not in (ENSEMBLE_FOURIER, ENSEMBLE_LOCAL):
+        raise UsageError(f"unknown ensemble mode {ensemble!r}")
     grid = build_grid(spec, model.cfg.patch_side)
     d = grid.patch_dim
     rng = np.random.default_rng(seed)
     params = model.implicit_params
-    hw = lr.height * lr.width
-    amap_flat, fmap_flat = (m.reshape(hw, -1) for m in bank_maps(model.encode(lr), params))
+    amap, fmap = bank_maps(model.encode(lr), params)
     patches = np.empty((grid.num_patches, d))
     phases = None
     for start in range(0, grid.num_patches, chunk):
@@ -255,15 +254,14 @@ def super_resolve(
             phases = phase_vector(np.full(stop - start, spec.cell), params)
         patches[start:stop] = generate_texture_patches(
             model,
-            amap_flat,
-            fmap_flat,
-            (lr.height, lr.width),
+            amap,
+            fmap,
             grid.centers(start, stop),
             phases,
             latents(stop - start, d, tau, rng),
             ensemble,
         )
-    del amap_flat, fmap_flat
+    del amap, fmap
     out = bilinear_upsample(lr, grid.target_height, grid.target_width).data
     out += reassemble(patches, grid)
     return Image(np.clip(out, 0.0, 1.0, out=out))

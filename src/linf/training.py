@@ -154,17 +154,12 @@ def make_batch(
 
 def loss_components(batch: Batch, model: Model, cfg: TrainConfig) -> tuple[nm.Tensor, float, float]:
     """(total loss tensor, nll value, l1 value) for one batch."""
-    b, h, w, _ = batch.lr.shape
     params = model.implicit_params
     fm = encode_batch(nm.tensor(batch.lr), model.cfg, model.encoder_params)  # [B,h,w,C]
     amap, fmap = bank_maps(fm, params)
-    # the crops' lattices stacked vertically: crop i's rows start at i*h
-    amap_flat, fmap_flat = amap.reshape(b * h * w, -1), fmap.reshape(b * h * w, -1)
     phases_per_crop = phase_vector(2.0 / batch.scales, params)  # [B,K]
     phases = nm.index_rows(phases_per_crop, batch.crop)  # [N,K]
-    cond = condition(
-        params, amap_flat, fmap_flat, (h, w), batch.coords, phases, batch.crop
-    )
+    cond = condition(params, amap, fmap, batch.coords, phases, batch.crop)
     targets = batch.targets
     log_prob = model.flow.log_prob(nm.tensor(targets), cond)
     if not np.all(np.isfinite(log_prob.data)):
@@ -314,10 +309,8 @@ def train(
             history.append(row)
             if log_fh:
                 log_fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n")
-            at_epoch_end = step % cfg.steps_per_epoch == 0
-            if out_dir and (at_epoch_end or step == cfg.steps):
-                name = f"ckpt_epoch{epoch:03d}.linf" if at_epoch_end else "ckpt_final.linf"
-                ckpt_path = checkpoint(name, step, epoch)
+            if out_dir and step % cfg.steps_per_epoch == 0:
+                checkpoint(f"ckpt_epoch{epoch:03d}.linf", step, epoch)
         if out_dir:
             ckpt_path = checkpoint("ckpt_final.linf", cfg.steps,
                                    -(-cfg.steps // cfg.steps_per_epoch))

@@ -9,8 +9,9 @@ taped op chain that the fused `numerics.fourier_gather` replaces, and
 `conv2d_per_offset` is the convolution `numerics.conv2d` replaced: one
 contiguous copy of the shifted input per kernel offset; `relu` the
 activation that `numerics.affine` and `numerics.conv2d` fuse; and
-`conditioner_head_chain` the per-layer getitem/`clamp`/exp chain that the
-fused `numerics.conditioner_head` replaced.
+`conditioner_head_chain` the per-layer `getitem`/`clamp`/exp chain that the
+fused `numerics.conditioner_head` replaced. `getitem` (a taped copy of
+`a[key]`) is not a method of `Tensor`, so the chains call it by name.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,17 @@ from linf.implicit import (
     neighborhood_geometry,
     phase_vector,
 )
+
+
+def getitem(a, key) -> Tensor:
+    a = _as_tensor(a)
+
+    def bwd(g):
+        buf = np.zeros_like(a.data)
+        buf[key] = g
+        return (buf,)
+
+    return _make(a.data[key].copy(), (a,), bwd)
 
 
 def relu(a) -> Tensor:
@@ -131,10 +143,10 @@ def conditioner_head_chain(head, layers: int, dim: int, bound: float
     head = _as_tensor(head)
     alpha_pre, alpha, phi = [], [], []
     for k in range(layers):
-        pre = clamp(head[:, 2 * k * dim : (2 * k + 1) * dim], -bound, bound)
+        pre = clamp(getitem(head, np.s_[:, 2 * k * dim : (2 * k + 1) * dim]), -bound, bound)
         alpha_pre.append(pre)
         alpha.append(nm.exp(pre))
-        phi.append(head[:, (2 * k + 1) * dim : (2 * k + 2) * dim])
+        phi.append(getitem(head, np.s_[:, (2 * k + 1) * dim : (2 * k + 2) * dim]))
     return alpha_pre, alpha, phi
 
 
@@ -151,24 +163,21 @@ def ensemble_features_chain(
     amap_flat: nm.Tensor,
     fmap_flat: nm.Tensor,
     phases: nm.Tensor,
-    x_q: np.ndarray,
-    indices: np.ndarray,
-    coords: np.ndarray,
+    rows: np.ndarray,
+    delta: np.ndarray,
     weights: np.ndarray,
-    lattice_width: int,
     weighting: str = WEIGHTING_FULL,
 ) -> nm.Tensor:
     """`implicit.ensemble_features` as 18 taped ops: three row gathers, two
     column copies, the theta arithmetic, `cos_sin` and the weighting."""
-    q = indices.shape[0]
+    q = rows.shape[0]
     k2 = amap_flat.shape[1]
     k = k2 // 2
-    flat_idx = (indices[:, :, 0] * lattice_width + indices[:, :, 1]).reshape(-1)
+    flat_idx = rows.reshape(-1)
     a_g = nm.index_rows(amap_flat, flat_idx).reshape(q, 4, k2)
     # the 2K frequency channels pair up as K (dy, dx) vectors
-    fy_g = nm.index_rows(fmap_flat[:, 0::2], flat_idx).reshape(q, 4, k)
-    fx_g = nm.index_rows(fmap_flat[:, 1::2], flat_idx).reshape(q, 4, k)
-    delta = np.atleast_2d(x_q)[:, None, :] - coords  # [Q,4,2]
+    fy_g = nm.index_rows(getitem(fmap_flat, np.s_[:, 0::2]), flat_idx).reshape(q, 4, k)
+    fx_g = nm.index_rows(getitem(fmap_flat, np.s_[:, 1::2]), flat_idx).reshape(q, 4, k)
     dots = nm.add(nm.mul(fy_g, delta[:, :, 0:1]), nm.mul(fx_g, delta[:, :, 1:2]))
     theta = nm.add(nm.mul(np.pi, dots), phases.reshape(q, 1, k))
     feats = nm.mul(a_g, cos_sin(theta))
@@ -199,7 +208,7 @@ class EnsembleNeighborhood:
     """The four lattice neighbors of a query with their bilinear weights."""
 
     indices: np.ndarray  # [4, 2] clamped (row, col)
-    coords: np.ndarray  # [4, 2] clamped center coordinates
+    delta: np.ndarray  # [4, 2] query minus each clamped center
     weights: np.ndarray  # [4], sums to 1
 
 
@@ -223,13 +232,13 @@ def nearest_feature(fm: nm.Tensor, x_q: np.ndarray) -> tuple[nm.Tensor, np.ndarr
     height, width = fm.shape[0], fm.shape[1]
     r, c = nearest_index(np.asarray(x_q, dtype=np.float64), height, width)
     coord = np.array([pixel_centers(height)[r], pixel_centers(width)[c]])
-    return fm[r, c, :], coord
+    return getitem(fm, (r, c)), coord
 
 
 def ensemble_weights(x_q: np.ndarray, height: int, width: int) -> EnsembleNeighborhood:
     """Single-query neighborhood with bilinear area weights."""
-    indices, coords, weights = neighborhood_geometry(height, width, np.atleast_2d(x_q))
-    return EnsembleNeighborhood(indices[0], coords[0], weights[0])
+    rows, delta, weights = neighborhood_geometry(height, width, np.atleast_2d(x_q))
+    return EnsembleNeighborhood(np.stack(np.divmod(rows[0], width), axis=1), delta[0], weights[0])
 
 
 def estimate_bank(
@@ -245,9 +254,9 @@ def estimate_bank(
     r, c = lattice_index
     amap, fmap = bank_maps(fm, params)
     k = params.cfg.frequencies
-    amplitudes = amap[r, c, :]
-    frequencies = fmap[r, c, :].reshape(k, 2)
-    phases = phase_vector(cell, params)[0, :]
+    amplitudes = getitem(amap, (r, c))
+    frequencies = getitem(fmap, (r, c)).reshape(k, 2)
+    phases = getitem(phase_vector(cell, params), 0)
     return FourierBank(amplitudes, frequencies, phases)
 
 
@@ -271,17 +280,15 @@ def fourier_feature_ensemble(
     amap, fmap = bank_maps(fm, params)
     k2 = amap.shape[2]
     xq2 = np.atleast_2d(np.asarray(query.x_q, dtype=np.float64))
-    indices, coords, weights = neighborhood_geometry(height, width, xq2)
+    rows, delta, weights = neighborhood_geometry(height, width, xq2)
     phases = phase_vector(query.cell, params)
     kappa = ensemble_features(
         amap.reshape(height * width, k2),
         fmap.reshape(height * width, k2),
         phases,
-        xq2,
-        indices,
-        coords,
+        rows,
+        delta,
         weights,
-        width,
         params.cfg.ensemble_weighting,
     )
-    return kappa[0, :]
+    return getitem(kappa, 0)

@@ -199,6 +199,17 @@ class TestEnsembleWeights:
         assert np.all(weights >= 0.0) and np.all(weights <= 1.0 + 1e-15)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_crop_offsets_rows_by_whole_lattices(self):
+        rng = np.random.default_rng(56)
+        h, w = 4, 7
+        q = rng.uniform(-1.2, 1.2, size=(30, 2))
+        crop = rng.integers(5, size=30)
+        rows, delta, weights = neighborhood_geometry(h, w, q)
+        rows_c, delta_c, weights_c = neighborhood_geometry(h, w, q, crop)
+        np.testing.assert_array_equal(rows_c, rows + h * w * crop[:, None])
+        assert delta_c.tobytes() == delta.tobytes()
+        assert weights_c.tobytes() == weights.tobytes()
+
     def test_border_duplicates_renormalized(self):
         nb = ensemble_weights(np.array([-1.0, -1.0]), 3, 3)
         # all four clamped entries collapse onto pixel (0,0); mass still sums to 1
@@ -232,7 +243,7 @@ class TestFourierFeatureEnsemble:
         assert nb.weights[slot] == pytest.approx(1.0, abs=1e-12)
         assert tuple(nb.indices[slot]) == (2, 3)
         bank = estimate_bank(fm, (2, 3), 0.5, p)
-        expected = fourier_features(bank, q - nb.coords[slot]).data
+        expected = fourier_features(bank, nb.delta[slot]).data
         np.testing.assert_allclose(
             kappa[slot * 2 * k : (slot + 1) * 2 * k], expected, atol=1e-12
         )
@@ -255,7 +266,7 @@ class TestFourierFeatureEnsemble:
                     bank.amplitudes.data,
                     bank.frequencies.data,
                     bank.phases.data,
-                    q - nb.coords[slot],
+                    nb.delta[slot],
                 )
                 np.testing.assert_allclose(
                     kappa[slot * 2 * k : (slot + 1) * 2 * k],
@@ -276,7 +287,7 @@ class TestFourierFeatureEnsemble:
             bank = estimate_bank(fm, tuple(nb.indices[slot]), 0.5, p)
             feats = scalar_fourier_oracle(
                 bank.amplitudes.data, bank.frequencies.data, bank.phases.data,
-                q - nb.coords[slot],
+                nb.delta[slot],
             )
             np.testing.assert_allclose(
                 kappa[slot * 2 * k : (slot + 1) * 2 * k], feats, atol=1e-12
@@ -292,15 +303,12 @@ class TestFourierFeatureEnsemble:
         amap, fmap = implicit.bank_maps(fm, p)
         amap_f = amap.reshape(25, 2 * p.cfg.frequencies)
         fmap_f = fmap.reshape(25, 2 * p.cfg.frequencies)
-        idx, coords, w = neighborhood_geometry(5, 5, np.atleast_2d(q))
+        rows, delta, w = neighborhood_geometry(5, 5, np.atleast_2d(q))
         phases = phase_vector(0.5, p)
-        kappa = implicit.ensemble_features(
-            amap_f, fmap_f, phases, np.atleast_2d(q), idx, coords, w, 5
-        ).data
+        kappa = implicit.ensemble_features(amap_f, fmap_f, phases, rows, delta, w).data
         perm = [1, 0, 3, 2]
         kappa_perm = implicit.ensemble_features(
-            amap_f, fmap_f, phases, np.atleast_2d(q),
-            idx[:, perm], coords[:, perm], w[:, perm], 5,
+            amap_f, fmap_f, phases, rows[:, perm], delta[:, perm], w[:, perm],
         ).data
         assert not np.allclose(kappa, kappa_perm)
 
@@ -313,20 +321,16 @@ class TestCondition:
         p = model.implicit_params
         rng = np.random.default_rng(57)
         p.t["head.w"].assign_(rng.normal(size=p["head.w"].shape) * 0.05)
-        h, w, k2 = 5, 6, 2 * p.cfg.frequencies
+        h, w = 5, 6
         amap, fmap = implicit.bank_maps(nm.tensor(rng.normal(size=(3, h, w, 8))), p)
         crop = np.repeat(np.arange(3), [7, 4, 9])
         x_q = rng.uniform(-1.0, 1.0, size=(crop.size, 2))
         phases = implicit.phase_vector(rng.uniform(0.2, 2.0, size=crop.size), p)
-        stacked = implicit.condition(
-            p, amap.reshape(3 * h * w, k2), fmap.reshape(3 * h * w, k2), (h, w), x_q,
-            phases, crop,
-        )
+        stacked = implicit.condition(p, amap, fmap, x_q, phases, crop)
         for b in range(3):
             rows = crop == b
             single = implicit.condition(
-                p, nm.tensor(amap.data[b].reshape(h * w, k2)),
-                nm.tensor(fmap.data[b].reshape(h * w, k2)), (h, w), x_q[rows],
+                p, nm.tensor(amap.data[b]), nm.tensor(fmap.data[b]), x_q[rows],
                 nm.tensor(phases.data[rows]),
             )
             for part in ("logdet", "alpha", "phi"):

@@ -271,6 +271,15 @@ class TestSuperResolve:
         super_resolve(lr, 3.0, 0.5, model, seed=1, chunk=7)  # 225 patches, 33 chunks
         assert len(calls) == 1
 
+    def test_unknown_ensemble_fails_before_any_work(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("bank maps computed before the ensemble was checked")
+
+        monkeypatch.setattr(pipeline, "bank_maps", must_not_run)
+        with pytest.raises(UsageError, match="unknown ensemble mode 'bogus'"):
+            super_resolve(Image(np.zeros((3, 3, 3))), 2.0, 0.0, micro_model(seed=29),
+                          ensemble="bogus")
+
     @pytest.mark.parametrize("chunk", [4096, 97, 1])
     def test_per_chunk_latents_equal_one_upfront_draw(self, monkeypatch, chunk):
         model = micro_model(seed=31)
@@ -381,14 +390,13 @@ class TestSuperResolve:
         p = model.implicit_params
         p.t["head.w"].assign_(rng.normal(size=p["head.w"].shape) * 0.1)
         lr = Image(rng.random((5, 5, 3)))
-        amap, fmap = bank_maps(model.encode(lr), p)
-        banks = amap.reshape(25, -1), fmap.reshape(25, -1)
+        banks = bank_maps(model.encode(lr), p)
         center = np.array([[pixel_centers(5)[2], pixel_centers(5)[1]]])
         z = 0.5 * rng.standard_normal((1, model.cfg.patch_dim))
         phases = phase_vector(np.ones(1), p)  # cell 1.0
-        a = generate_texture_patches(model, *banks, (5, 5), center, phases, z)
+        a = generate_texture_patches(model, *banks, center, phases, z)
         b = generate_texture_patches(
-            model, *banks, (5, 5), center, phases, z, ensemble=ENSEMBLE_LOCAL
+            model, *banks, center, phases, z, ensemble=ENSEMBLE_LOCAL
         )
         np.testing.assert_allclose(a, b, atol=1e-12)
 

@@ -198,6 +198,35 @@ class TestTrainLoop:
         b = (tmp_path / "b" / "ckpt_final.linf").read_bytes()
         assert a == b
 
+    def test_each_checkpoint_written_once(self, tmp_path, monkeypatch):
+        """3 steps at 2 per epoch: the epoch-1 checkpoint, then the final
+        one (step 3, epoch 2), each written once; counting the writes
+        changes neither the files nor the history."""
+        corpus = toy_corpus(4, 32, seed=15)
+        cfg = tiny_train_cfg(steps=3, steps_per_epoch=2)
+        plain = train(corpus, cfg, micro_config(), out_dir=str(tmp_path / "plain"))
+        written = []
+        original = training.save_checkpoint
+
+        def counting_save(path, *args):
+            written.append(os.path.basename(path))
+            return original(path, *args)
+
+        monkeypatch.setattr(training, "save_checkpoint", counting_save)
+        counted = train(corpus, cfg, micro_config(), out_dir=str(tmp_path / "counted"))
+        assert written == ["ckpt_epoch001.linf", "ckpt_final.linf"]
+        assert counted.history == plain.history
+        assert [row[:2] for row in counted.history] == [(1, 1), (2, 1), (3, 2)]
+        names = sorted(os.listdir(tmp_path / "plain"))
+        assert names == ["ckpt_epoch001.linf", "ckpt_final.linf", "train_log.csv"]
+        assert sorted(os.listdir(tmp_path / "counted")) == names
+        for name in names:
+            assert (tmp_path / "counted" / name).read_bytes() == (
+                tmp_path / "plain" / name).read_bytes()
+        final = load_checkpoint(counted.checkpoint_path)
+        assert counted.checkpoint_path == str(tmp_path / "counted" / "ckpt_final.linf")
+        assert (final.step, final.epoch) == (3, 2)
+
     def test_resume_equals_uninterrupted(self, tmp_path):
         corpus = toy_corpus(4, 32, seed=16)
         cfg = tiny_train_cfg(steps=8, steps_per_epoch=4)
