@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, check_ranges
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -24,12 +24,12 @@ class DataConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
-        for name in ("corpus", "out_dir"):
-            if not getattr(self, name):
-                raise ConfigError(f"data.{name} must not be empty")
-        for name in ("corpus_count", "corpus_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"data.{name} must be >= 1, got {getattr(self, name)}")
+        check_ranges("data", self, {
+            "corpus": (bool(self.corpus), "non-empty"),
+            "out_dir": (bool(self.out_dir), "non-empty"),
+            "corpus_count": (self.corpus_count >= 1, ">= 1"),
+            "corpus_size": (self.corpus_size >= 1, ">= 1"),
+        })
 
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig}

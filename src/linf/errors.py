@@ -13,6 +13,14 @@ class ConfigError(LinfError):
     """Invalid configuration value, key, or parameter/config mismatch."""
 
 
+def check_ranges(section: str, config, bounds: dict[str, tuple[bool, str]]) -> None:
+    """Raise a ConfigError naming the first out-of-range field; `bounds` maps
+    each field of `config` to (in range, the range)."""
+    for name, (ok, want) in bounds.items():
+        if not ok:
+            raise ConfigError(f"{section}.{name} must be {want}, got {getattr(config, name)!r}")
+
+
 class SingularMatrixError(LinfError):
     """Matrix is exactly singular (pivot below tolerance)."""
 

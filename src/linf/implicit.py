@@ -28,23 +28,12 @@ import numpy as np
 from . import numerics as nm
 
 if TYPE_CHECKING:
-    from .model import ModelConfig
+    from .model import Model
 
 ALPHA_CLAMP = 8.0  # pre-activation bound; alpha = exp(clamp(pre, -8, 8))
 
 WEIGHTING_FULL = "full"
 WEIGHTING_NONE = "none"
-
-
-@dataclass
-class ImplicitParams:
-    """Tensor bundle plus the model config that fixes its layout."""
-
-    cfg: ModelConfig
-    t: dict[str, nm.Tensor]
-
-    def __getitem__(self, key: str) -> nm.Tensor:
-        return self.t[key]
 
 
 @dataclass
@@ -101,18 +90,20 @@ def neighborhood_geometry(
 # -- Fourier features ---------------------------------------------------------------------
 
 
-def bank_maps(fm_tensor: nm.Tensor, params: ImplicitParams) -> tuple[nm.Tensor, nm.Tensor]:
+def bank_maps(fm_tensor: nm.Tensor, model: Model) -> tuple[nm.Tensor, nm.Tensor]:
     """Amplitude and frequency maps over the whole feature map ([..,2K] each)."""
-    amap = nm.conv2d(fm_tensor, params["amp.w"], params["amp.b"])
-    fmap = nm.conv2d(fm_tensor, params["freq.w"], params["freq.b"])
+    p = model.params
+    amap = nm.conv2d(fm_tensor, p["implicit.amp.w"], p["implicit.amp.b"])
+    fmap = nm.conv2d(fm_tensor, p["implicit.freq.w"], p["implicit.freq.b"])
     return amap, fmap
 
 
-def phase_vector(cell, params: ImplicitParams) -> nm.Tensor:
+def phase_vector(cell, model: Model) -> nm.Tensor:
     """Phases from the scalar cell size via the 2-layer MLP; [B, K] for B cells."""
+    p = model.params
     cells = np.atleast_1d(np.asarray(cell, dtype=np.float64)).reshape(-1, 1)
-    h = nm.affine(cells, params["phase.w1"], params["phase.b1"], relu=True)
-    return nm.affine(h, params["phase.w2"], params["phase.b2"])
+    h = nm.affine(cells, p["implicit.phase.w1"], p["implicit.phase.b1"], relu=True)
+    return nm.affine(h, p["implicit.phase.w2"], p["implicit.phase.b2"])
 
 
 def ensemble_features(
@@ -137,7 +128,7 @@ def ensemble_features(
 # -- parameter generation -------------------------------------------------------------------
 
 
-def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
+def conditioner(kappa: nm.Tensor, model: Model) -> ConditionerOutput:
     """MLP trunk over kappa [Q, 8K] producing per-layer (alpha, phi).
 
     The head output holds per layer contiguous (alpha_pre_k, phi_k) blocks
@@ -149,16 +140,17 @@ def conditioner(kappa: nm.Tensor, params: ImplicitParams) -> ConditionerOutput:
     allocates its buffer.
     """
     nm.count("conditioner", kappa.shape[0])
-    h = nm.affine(kappa, params["trunk.w1"], params["trunk.b1"], relu=True)
+    p = model.params
+    h = nm.affine(kappa, p["implicit.trunk.w1"], p["implicit.trunk.b1"], relu=True)
     del kappa
-    h = nm.affine(h, params["trunk.w2"], params["trunk.b2"], relu=True)
-    h = nm.affine(h, params["head.w"], params["head.b"])
+    h = nm.affine(h, p["implicit.trunk.w2"], p["implicit.trunk.b2"], relu=True)
+    h = nm.affine(h, p["implicit.head.w"], p["implicit.head.b"])
     return ConditionerOutput(*nm.conditioner_head(
-        h, params.cfg.flow_layers, params.cfg.patch_dim, ALPHA_CLAMP))
+        h, model.cfg.flow_layers, model.cfg.patch_dim, ALPHA_CLAMP))
 
 
 def condition(
-    params: ImplicitParams, amap: nm.Tensor, fmap: nm.Tensor, x_q: np.ndarray,
+    model: Model, amap: nm.Tensor, fmap: nm.Tensor, x_q: np.ndarray,
     phases: nm.Tensor, crop: np.ndarray | None = None,
 ) -> ConditionerOutput:
     """Condition for queries x_q [Q, 2] on bank maps [H, W, 2K] or, with
@@ -168,4 +160,4 @@ def condition(
     rows, delta, weights = neighborhood_geometry(height, width, x_q, crop)
     return conditioner(ensemble_features(
         amap.reshape(-1, k2), fmap.reshape(-1, k2), phases, rows, delta, weights,
-        params.cfg.ensemble_weighting), params)
+        model.cfg.ensemble_weighting), model)

@@ -8,10 +8,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nm
-from .encoder import KERNEL, encode_batch
-from .errors import ConfigError
-from .imaging import Image
-from .implicit import WEIGHTING_FULL, WEIGHTING_NONE, ImplicitParams
+from .encoder import KERNEL
+from .errors import ConfigError, check_ranges
+from .implicit import WEIGHTING_FULL, WEIGHTING_NONE
 from .flow import FlowModel, identity_jitter
 
 LAYER_ORDER = "linear_first"  # within each pair: linear map, then injector
@@ -37,22 +36,19 @@ class ModelConfig:
     flow_init_std: float = 0.01
 
     def __post_init__(self):
-        if self.patch_side < 1:
-            raise ConfigError("patch side must be >= 1")
-        if self.flow_layers < 1:
-            raise ConfigError("need >= 1 flow layer")
-        if self.encoder_channels < 8:
-            raise ConfigError("encoder channels must be >= 8")
-        if self.encoder_blocks < 1:
-            raise ConfigError("encoder needs >= 1 residual block")
-        if self.frequencies < 1:
-            raise ConfigError("need >= 1 frequency")
-        if self.trunk_width < 1 or self.phase_hidden < 1:
-            raise ConfigError("trunk_width and phase_hidden must be >= 1")
-        if self.ensemble_weighting not in (WEIGHTING_FULL, WEIGHTING_NONE):
-            raise ConfigError(f"unknown ensemble_weighting {self.ensemble_weighting!r}")
-        if not 0 <= self.flow_init_std < math.inf:
-            raise ConfigError("flow_init_std must be finite and >= 0")
+        # field -> (in range, the range); NaN fails every comparison
+        check_ranges("model", self, {
+            "patch_side": (self.patch_side >= 1, ">= 1"),
+            "flow_layers": (self.flow_layers >= 1, ">= 1"),
+            "encoder_channels": (self.encoder_channels >= 8, ">= 8"),
+            "encoder_blocks": (self.encoder_blocks >= 1, ">= 1"),
+            "frequencies": (self.frequencies >= 1, ">= 1"),
+            "trunk_width": (self.trunk_width >= 1, ">= 1"),
+            "phase_hidden": (self.phase_hidden >= 1, ">= 1"),
+            "ensemble_weighting": (self.ensemble_weighting in (WEIGHTING_FULL, WEIGHTING_NONE),
+                                   f"{WEIGHTING_FULL!r} or {WEIGHTING_NONE!r}"),
+            "flow_init_std": (0 <= self.flow_init_std < math.inf, "finite and >= 0"),
+        })
 
     @property
     def patch_dim(self) -> int:
@@ -109,22 +105,16 @@ def param_layout(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     return layout
 
 
-def _section(params: dict[str, nm.Tensor], prefix: str) -> dict[str, nm.Tensor]:
-    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
-
-
 class Model:
     """The three stages wired together over one ordered parameter dict.
 
     `params` holds every tensor of `param_layout(cfg)` under its layout
-    name; the encoder, conditioner and flow read the same tensor objects.
+    name; the stages read it by those names, the flow its `flow.` tensors.
     """
 
     def __init__(self, cfg: ModelConfig, params: dict[str, nm.Tensor]):
         self.cfg = cfg
-        self._params = params
-        self.encoder_params = _section(params, "encoder.")
-        self.implicit_params = ImplicitParams(cfg, _section(params, "implicit."))
+        self.params = params
         layers = range(cfg.flow_layers)
         self.flow = FlowModel([params[f"flow.{i}.w"] for i in layers],
                               [params[f"flow.{i}.b"] for i in layers], cfg.patch_side)
@@ -145,8 +135,4 @@ class Model:
         return cls(cfg, params)
 
     def parameters(self) -> dict[str, nm.Tensor]:
-        return dict(self._params)
-
-    def encode(self, img: Image) -> nm.Tensor:
-        """Feature map [H, W, C] of one image, extents matching the image."""
-        return encode_batch(nm.tensor(img.data), self.cfg, self.encoder_params)
+        return dict(self.params)

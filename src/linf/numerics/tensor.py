@@ -221,10 +221,6 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _make(data, parents: tuple, backward_fn: Callable):
     """Create an op output (a tuple of them for a tuple of arrays), recording
     it when a tape is active."""
@@ -251,7 +247,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = tensor(a), tensor(b)
     return _make(
         a.data + b.data,
         (a, b),
@@ -260,7 +256,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = tensor(a), tensor(b)
     return _make(
         a.data - b.data,
         (a, b),
@@ -269,7 +265,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = tensor(a), tensor(b)
     return _make(
         a.data * b.data,
         (a, b),
@@ -281,7 +277,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = tensor(a), tensor(b)
     return _make(
         a.data / b.data,
         (a, b),
@@ -293,18 +289,18 @@ def div(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def exp(a) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
     out_data = np.exp(a.data)
     return _make(out_data, (a,), lambda g: (g * out_data,))
 
 
 def absolute(a) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
     _kink_margin(a.data, 0.0)
     return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
@@ -338,7 +334,7 @@ def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
     and weights; backward gathers the amplitudes from amp again with the
     same rows, and scatters the table gradients in rounds of distinct rows
     (see _scatter_rounds)."""
-    amp, freq, phases = _as_tensor(amp), _as_tensor(freq), _as_tensor(phases)
+    amp, freq, phases = tensor(amp), tensor(freq), tensor(phases)
     q, n = idx.shape
     k2 = amp.shape[1]
     k = k2 // 2
@@ -402,7 +398,7 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
 
     Same values and gradients as relu(add(matmul(x, w), b)); a probe reads
     the pre-activation's kink margin."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    x, w, b = tensor(x), tensor(w), tensor(b)
     if x.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"affine expects 2-D operands, got {x.shape} @ {w.shape}")
     if x.shape[1] != w.shape[0]:
@@ -436,7 +432,7 @@ def conditioner_head(head, layers: int, dim: int, bound: float
     getitem/clamp/exp chain in tests/oracles.py with a tsum of each clipped
     block, whose sum of zero-padded slice gradients turns a -0.0 into +0.0;
     a probe reads the clamp's kink margin."""
-    head = _as_tensor(head)
+    head = tensor(head)
     q = head.shape[0]
     blocks = head.data.reshape(q, layers, 2, dim)
     raw = blocks[:, :, 0].transpose(1, 0, 2)  # [layers, Q, dim] view
@@ -475,7 +471,7 @@ def conditioner_head(head, layers: int, dim: int, bound: float
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = tensor(a), tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -488,20 +484,20 @@ def matmul(a, b) -> Tensor:
 
 
 def transpose(a) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
     return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape: tuple) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def index_rows(a, idx: np.ndarray) -> Tensor:
     """Gather rows along axis 0; backward scatter-adds (duplicates allowed)."""
-    a = _as_tensor(a)
+    a = tensor(a)
     idx = np.asarray(idx)
 
     def bwd(g):
@@ -513,7 +509,7 @@ def index_rows(a, idx: np.ndarray) -> Tensor:
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
 
     def bwd(g):
         if axis is None:
@@ -526,7 +522,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
     if axis is None:
         count = a.size
     else:
@@ -539,7 +535,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def logabsdet(w, lu: LuFactors | None = None) -> Tensor:
     """log|det W| of a square matrix; backward uses d log|det W| = W^{-T}."""
-    w = _as_tensor(w)
+    w = tensor(w)
     factors = lu if lu is not None else lu_factor(w.data)
 
     def bwd(g):
@@ -550,7 +546,7 @@ def logabsdet(w, lu: LuFactors | None = None) -> Tensor:
 
 def solve_rows(y, w, lu: LuFactors | None = None) -> Tensor:
     """Row-wise solve: returns X with X @ W.T == Y, i.e. X = Y @ W^{-T}."""
-    y, w = _as_tensor(y), _as_tensor(w)
+    y, w = tensor(y), tensor(w)
     factors = lu if lu is not None else lu_factor(w.data)
     x = factors.solve(y.data.T).T
 
@@ -597,7 +593,7 @@ def conv2d(x, kernel, bias=None, relu: bool = False) -> Tensor:
     several 1x1 images, where numpy runs a gemv per image in place of one
     gemm.
     """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    x, kernel = tensor(x), tensor(kernel)
     if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
         raise ShapeError(f"kernel must be [k,k,Cin,Cout], got {kernel.shape}")
     k = kernel.shape[0]
@@ -614,7 +610,7 @@ def conv2d(x, kernel, bias=None, relu: bool = False) -> Tensor:
         )
     cout = kernel.shape[3]
     if bias is not None:
-        bias = _as_tensor(bias)
+        bias = tensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d bias must be [{cout}], got {bias.shape}")
     pad = k // 2

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
+from .encoder import encode_batch
 from .errors import UsageError
 from .flow import check_tau, latents
 from .imaging import Image, bilinear_upsample
@@ -189,9 +190,8 @@ def generate_texture_patches(
 
     amap/fmap are the image's bank maps [H, W, 2K] and phases is [Q, K]
     (`phase_vector` of the queries' cells)."""
-    params = model.implicit_params
     if ensemble == ENSEMBLE_FOURIER:
-        cond = condition(params, amap, fmap, centers, phases)
+        cond = condition(model, amap, fmap, centers, phases)
         return model.flow.inverse(nm.tensor(z), cond).data
     if ensemble == ENSEMBLE_LOCAL:
         rows, delta, weights = neighborhood_geometry(*amap.shape[:2], centers)
@@ -204,8 +204,8 @@ def generate_texture_patches(
                 amap_flat, fmap_flat, phases,
                 np.repeat(rows[:, nb : nb + 1], 4, axis=1),
                 np.repeat(delta[:, nb : nb + 1], 4, axis=1),
-                weights, params.cfg.ensemble_weighting,
-            ), params)
+                weights, model.cfg.ensemble_weighting,
+            ), model)
             out += weights[:, nb : nb + 1] * model.flow.inverse(nm.tensor(z), cond_nb).data
         return out
     raise UsageError(f"unknown ensemble mode {ensemble!r}")
@@ -244,14 +244,13 @@ def super_resolve(
     grid = build_grid(spec, model.cfg.patch_side)
     d = grid.patch_dim
     rng = np.random.default_rng(seed)
-    params = model.implicit_params
-    amap, fmap = bank_maps(model.encode(lr), params)
+    amap, fmap = bank_maps(encode_batch(nm.tensor(lr.data), model), model)
     patches = np.empty((grid.num_patches, d))
     phases = None
     for start in range(0, grid.num_patches, chunk):
         stop = min(start + chunk, grid.num_patches)
         if phases is None or phases.shape[0] != stop - start:
-            phases = phase_vector(np.full(stop - start, spec.cell), params)
+            phases = phase_vector(np.full(stop - start, spec.cell), model)
         patches[start:stop] = generate_texture_patches(
             model,
             amap,

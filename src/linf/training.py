@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics as nm
 from .encoder import encode_batch
-from .errors import ConfigError, SingularMatrixError, TrainingError, UsageError
+from .errors import ConfigError, SingularMatrixError, TrainingError, UsageError, check_ranges
 from .imaging import Image, bicubic_resample
 from .implicit import bank_maps, condition, phase_vector
 from .model import Model, ModelConfig, param_layout
@@ -59,7 +59,7 @@ class TrainConfig:
     def __post_init__(self):
         # field -> (in range, the range); NaN fails every comparison
         inf = math.inf
-        bounds = {
+        check_ranges("train", self, {
             "lr_crop": (self.lr_crop >= 2, ">= 2"),
             "scale_max": (0 < self.scale_max < inf, "finite and > 0"),
             "scale_min": (0 < self.scale_min <= self.scale_max, "> 0 and <= scale_max"),
@@ -78,10 +78,7 @@ class TrainConfig:
             "adam_eps": (0 < self.adam_eps < inf, "finite and > 0"),
             "seed": (self.seed >= 0, ">= 0"),
             "dequant": (0 <= self.dequant < inf, "finite and >= 0"),
-        }
-        for name, (ok, want) in bounds.items():
-            if not ok:
-                raise ConfigError(f"train.{name} must be {want}, got {getattr(self, name)!r}")
+        })
 
     @property
     def pairs(self) -> int:
@@ -154,12 +151,11 @@ def make_batch(
 
 def loss_components(batch: Batch, model: Model, cfg: TrainConfig) -> tuple[nm.Tensor, float, float]:
     """(total loss tensor, nll value, l1 value) for one batch."""
-    params = model.implicit_params
-    fm = encode_batch(nm.tensor(batch.lr), model.cfg, model.encoder_params)  # [B,h,w,C]
-    amap, fmap = bank_maps(fm, params)
-    phases_per_crop = phase_vector(2.0 / batch.scales, params)  # [B,K]
+    fm = encode_batch(nm.tensor(batch.lr), model)  # [B,h,w,C]
+    amap, fmap = bank_maps(fm, model)
+    phases_per_crop = phase_vector(2.0 / batch.scales, model)  # [B,K]
     phases = nm.index_rows(phases_per_crop, batch.crop)  # [N,K]
-    cond = condition(params, amap, fmap, batch.coords, phases, batch.crop)
+    cond = condition(model, amap, fmap, batch.coords, phases, batch.crop)
     targets = batch.targets
     log_prob = model.flow.log_prob(nm.tensor(targets), cond)
     if not np.all(np.isfinite(log_prob.data)):

@@ -134,7 +134,7 @@ def _micro_setup(seed: int):
     model = Model.create(model_cfg, seed=seed)
     # non-zero conditioner head so every parameter group is exercised
     rng = np.random.default_rng(seed + 1)
-    head = model.implicit_params.t["head.w"]
+    head = model.params["implicit.head.w"]
     head.assign_(rng.normal(size=head.shape) * 0.05)
     batch = make_batch(corpus, cfg, np.random.default_rng(seed + 2), patch_side=1)
     return model, batch, cfg
@@ -254,7 +254,7 @@ def check_ensemble_economics() -> tuple[bool, str]:
     )
     model = Model.create(model_cfg, seed=5)
     rng = np.random.default_rng(150)
-    head = model.implicit_params.t["head.w"]
+    head = model.params["implicit.head.w"]
     head.assign_(rng.normal(size=head.shape) * 0.1)
 
     lr = Image(rng.random((4, 5, 3)))

@@ -20,19 +20,19 @@ from typing import Sequence
 import numpy as np
 
 from linf import numerics as nm
-from linf.numerics.tensor import Tensor, _as_tensor, _kink_margin, _make
+from linf.numerics.tensor import Tensor, _kink_margin, _make, tensor
 from linf.implicit import (
     WEIGHTING_FULL,
-    ImplicitParams,
     bank_maps,
     ensemble_features,
     neighborhood_geometry,
     phase_vector,
 )
+from linf.model import Model
 
 
 def getitem(a, key) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
 
     def bwd(g):
         buf = np.zeros_like(a.data)
@@ -43,13 +43,13 @@ def getitem(a, key) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
     _kink_margin(a.data, 0.0)
     return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
     _kink_margin(a.data, lo, hi)
     return _make(
         np.clip(a.data, lo, hi),
@@ -59,17 +59,17 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 
 def cos(a) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
     return _make(np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),))
 
 
 def sin(a) -> Tensor:
-    a = _as_tensor(a)
+    a = tensor(a)
     return _make(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),))
 
 
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
+    parts = [tensor(p) for p in parts]
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def bwd(g):
@@ -84,7 +84,7 @@ def cos_sin(a) -> Tensor:
     """[cos a | sin a] along the last axis, written into one buffer.
 
     Same values and gradient as concat([cos(a), sin(a)], axis=-1)."""
-    a = _as_tensor(a)
+    a = tensor(a)
     k = a.shape[-1]
     out = np.empty(a.shape[:-1] + (2 * k,))
     np.cos(a.data, out=out[..., :k])
@@ -98,7 +98,7 @@ def conv2d_per_offset(x, kernel) -> Tensor:
     """Same-padded conv, [H,W,Cin] or [N,H,W,Cin] by [k,k,Cin,Cout]: one gemm
     per kernel offset on a contiguous copy of the shifted padded input;
     backward re-contracts against the retained padded input."""
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    x, kernel = tensor(x), tensor(kernel)
     k = kernel.shape[0]
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
@@ -140,7 +140,7 @@ def conditioner_head_chain(head, layers: int, dim: int, bound: float
                            ) -> tuple[list[Tensor], list[Tensor], list[Tensor]]:
     """`numerics.conditioner_head` as four taped ops per layer: a getitem and
     a clamp for alpha_pre_k, an exp for alpha_k and a getitem for phi_k."""
-    head = _as_tensor(head)
+    head = tensor(head)
     alpha_pre, alpha, phi = [], [], []
     for k in range(layers):
         pre = clamp(getitem(head, np.s_[:, 2 * k * dim : (2 * k + 1) * dim]), -bound, bound)
@@ -245,18 +245,18 @@ def estimate_bank(
     fm: nm.Tensor,
     lattice_index: tuple[int, int],
     cell: float,
-    params: ImplicitParams,
+    model: Model,
 ) -> FourierBank:
     """Fourier bank at one lattice position.
 
     The frequency head's 2K channels pair up row-major as K (dy, dx) vectors.
     """
     r, c = lattice_index
-    amap, fmap = bank_maps(fm, params)
-    k = params.cfg.frequencies
+    amap, fmap = bank_maps(fm, model)
+    k = model.cfg.frequencies
     amplitudes = getitem(amap, (r, c))
     frequencies = getitem(fmap, (r, c)).reshape(k, 2)
-    phases = getitem(phase_vector(cell, params), 0)
+    phases = getitem(phase_vector(cell, model), 0)
     return FourierBank(amplitudes, frequencies, phases)
 
 
@@ -273,15 +273,15 @@ def fourier_features(bank: FourierBank, delta: np.ndarray) -> nm.Tensor:
 
 
 def fourier_feature_ensemble(
-    fm: nm.Tensor, query: QueryPoint, params: ImplicitParams
+    fm: nm.Tensor, query: QueryPoint, model: Model
 ) -> nm.Tensor:
     """Single-query ensemble vector kappa in R^{8K}."""
     height, width = fm.shape[0], fm.shape[1]
-    amap, fmap = bank_maps(fm, params)
+    amap, fmap = bank_maps(fm, model)
     k2 = amap.shape[2]
     xq2 = np.atleast_2d(np.asarray(query.x_q, dtype=np.float64))
     rows, delta, weights = neighborhood_geometry(height, width, xq2)
-    phases = phase_vector(query.cell, params)
+    phases = phase_vector(query.cell, model)
     kappa = ensemble_features(
         amap.reshape(height * width, k2),
         fmap.reshape(height * width, k2),
@@ -289,6 +289,6 @@ def fourier_feature_ensemble(
         rows,
         delta,
         weights,
-        params.cfg.ensemble_weighting,
+        model.cfg.ensemble_weighting,
     )
     return getitem(kappa, 0)

@@ -60,7 +60,7 @@ def smoke_config_path(tmp_path):
 def micro_checkpoint(tmp_path):
     model = Model.create(micro_config(), seed=0)
     rng = np.random.default_rng(1)
-    head = model.implicit_params.t["head.w"]
+    head = model.params["implicit.head.w"]
     head.assign_(rng.normal(size=head.shape) * 0.05)
     path = tmp_path / "model.linf"
     save_checkpoint(str(path), model, TrainConfig(), 0, 0, np.random.default_rng(0))
@@ -161,7 +161,7 @@ class TestShippedConfigs:
     def test_loads_and_builds_model(self, name):
         model_cfg, train_cfg, data_cfg = load_config(str(CONFIG_DIR / name))
         model = Model.create(model_cfg, seed=0)
-        assert model.cfg is model_cfg and model.implicit_params.cfg is model_cfg
+        assert model.cfg is model_cfg
         assert train_cfg.steps == 2000 and data_cfg.corpus == "toy"
 
     def test_desk_values(self):
@@ -287,10 +287,12 @@ class TestTrainCommand:
     @pytest.mark.parametrize("key,raw", [
         ("batch", "0"), ("pairs_per_image", "-1"), ("corpus_count", "0"),
         ("steps_per_epoch", "0"), ("scale_max", "inf"), ("steps", "-1"), ("dequant", "-1"),
-        ("learning_rate", "nan"), ("out_dir", ""),
+        ("learning_rate", "nan"), ("out_dir", ""), ("patch_side", "0"), ("flow_layers", "0"),
+        ("encoder_channels", "7"), ("trunk_width", "0"), ("ensemble_weighting", "half"),
+        ("flow_init_std", "nan"),
     ])
     def test_out_of_range_value_exit2(self, tmp_path, capsys, key, raw):
-        section = "data" if key in ("corpus_count", "out_dir") else "train"
+        section = next(s for s, types in _FIELD_TYPES.items() if key in types)
         path = tmp_path / "bad.cfg"
         path.write_text(_with_value(SMOKE_CONFIG, section, key, raw))
         code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")]

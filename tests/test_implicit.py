@@ -122,43 +122,44 @@ class TestFourierFeatures:
 class TestEstimateBank:
     def test_zero_heads(self):
         model = micro_model(seed=1)
-        p = model.implicit_params
-        for key in ("amp.w", "amp.b", "freq.w", "freq.b"):
-            p.t[key].assign_(np.zeros_like(p.t[key].data))
+        p = model.params
+        for key in ("implicit.amp.w", "implicit.amp.b", "implicit.freq.w", "implicit.freq.b"):
+            p[key].assign_(np.zeros_like(p[key].data))
         fm = feature_map_from(np.random.default_rng(45), 4, 4, 8)
-        bank = estimate_bank(fm, (1, 2), 0.5, p)
+        bank = estimate_bank(fm, (1, 2), 0.5, model)
         assert np.all(bank.amplitudes.data == 0.0)
         assert np.all(bank.frequencies.data == 0.0)
 
     def test_zero_phase_mlp(self):
         model = micro_model(seed=2)
-        p = model.implicit_params
-        for key in ("phase.w1", "phase.b1", "phase.w2", "phase.b2"):
-            p.t[key].assign_(np.zeros_like(p.t[key].data))
+        p = model.params
+        for key in ("implicit.phase.w1", "implicit.phase.b1",
+                    "implicit.phase.w2", "implicit.phase.b2"):
+            p[key].assign_(np.zeros_like(p[key].data))
         fm = feature_map_from(np.random.default_rng(46), 3, 3, 8)
-        bank = estimate_bank(fm, (0, 0), 1.0, p)
+        bank = estimate_bank(fm, (0, 0), 1.0, model)
         assert np.all(bank.phases.data == 0.0)
 
     def test_head_gradients_vs_fd(self):
         model = micro_model(seed=3)
-        p = model.implicit_params
+        p = model.params
         rng = np.random.default_rng(47)
         fm_data = rng.normal(size=(4, 4, 8))
         delta = np.array([0.11, -0.07])
-        readout = rng.normal(size=2 * p.cfg.frequencies)
+        readout = rng.normal(size=2 * model.cfg.frequencies)
 
         def compute():
             fm = nm.tensor(fm_data)
-            bank = estimate_bank(fm, (2, 1), 0.8, p)
+            bank = estimate_bank(fm, (2, 1), 0.8, model)
             feats = fourier_features(bank, delta)
             return nm.tsum(nm.mul(feats, nm.tensor(readout)))
 
         with nm.GradTape() as tape:
             loss = compute()
         tape.backward(loss)
-        for key in ("amp.w", "freq.w", "phase.w2", "phase.w1"):
-            analytic = p.t[key].grad
-            fd = numeric_grad(lambda: float(compute().data), p.t[key].data)
+        for key in ("implicit.amp.w", "implicit.freq.w", "implicit.phase.w2", "implicit.phase.w1"):
+            analytic = p[key].grad
+            fd = numeric_grad(lambda: float(compute().data), p[key].data)
             assert rel(analytic, fd) < 1e-4, key
 
 
@@ -220,29 +221,28 @@ class TestEnsembleWeights:
 class TestFourierFeatureEnsemble:
     def test_zero_banks_zero_kappa(self):
         model = micro_model(seed=4)
-        p = model.implicit_params
-        for key in ("amp.w", "amp.b"):
-            p.t[key].assign_(np.zeros_like(p.t[key].data))
+        p = model.params
+        for key in ("implicit.amp.w", "implicit.amp.b"):
+            p[key].assign_(np.zeros_like(p[key].data))
         fm = feature_map_from(np.random.default_rng(50), 4, 4, 8)
-        kappa = fourier_feature_ensemble(fm, QueryPoint(np.array([0.1, 0.2]), 0.7), p)
+        kappa = fourier_feature_ensemble(fm, QueryPoint(np.array([0.1, 0.2]), 0.7), model)
         assert np.all(kappa.data == 0.0)
-        assert kappa.shape == (8 * p.cfg.frequencies,)
+        assert kappa.shape == (8 * model.cfg.frequencies,)
 
     def test_neighbor_center_isolates_one_slot(self):
         model = micro_model(seed=5)
-        p = model.implicit_params
         rng = np.random.default_rng(51)
         fm = feature_map_from(rng, 5, 5, 8)
         q = np.array([pixel_centers(5)[2], pixel_centers(5)[3]])
-        kappa = fourier_feature_ensemble(fm, QueryPoint(q, 0.5), p).data
-        k = p.cfg.frequencies
+        kappa = fourier_feature_ensemble(fm, QueryPoint(q, 0.5), model).data
+        k = model.cfg.frequencies
         # which slot the center lands in depends on fp rounding of the cell
         # anchor; the contract is weight ~1 there and ~0 elsewhere
         nb = ensemble_weights(q, 5, 5)
         slot = int(np.argmax(nb.weights))
         assert nb.weights[slot] == pytest.approx(1.0, abs=1e-12)
         assert tuple(nb.indices[slot]) == (2, 3)
-        bank = estimate_bank(fm, (2, 3), 0.5, p)
+        bank = estimate_bank(fm, (2, 3), 0.5, model)
         expected = fourier_features(bank, nb.delta[slot]).data
         np.testing.assert_allclose(
             kappa[slot * 2 * k : (slot + 1) * 2 * k], expected, atol=1e-12
@@ -252,16 +252,15 @@ class TestFourierFeatureEnsemble:
 
     def test_kappa_vs_composed_oracles(self):
         model = micro_model(seed=6)
-        p = model.implicit_params
         rng = np.random.default_rng(52)
         fm = feature_map_from(rng, 6, 4, 8)
-        k = p.cfg.frequencies
+        k = model.cfg.frequencies
         for _ in range(10):
             q = rng.uniform(-0.9, 0.9, size=2)
-            kappa = fourier_feature_ensemble(fm, QueryPoint(q, 0.6), p).data
+            kappa = fourier_feature_ensemble(fm, QueryPoint(q, 0.6), model).data
             nb = ensemble_weights(q, 6, 4)
             for slot in range(4):
-                bank = estimate_bank(fm, tuple(nb.indices[slot]), 0.6, p)
+                bank = estimate_bank(fm, tuple(nb.indices[slot]), 0.6, model)
                 feats = scalar_fourier_oracle(
                     bank.amplitudes.data,
                     bank.frequencies.data,
@@ -276,15 +275,14 @@ class TestFourierFeatureEnsemble:
 
     def test_weighting_none_skips_amplitude_scaling(self):
         model = micro_model(seed=7, ensemble_weighting="none")
-        p = model.implicit_params
         rng = np.random.default_rng(53)
         fm = feature_map_from(rng, 5, 5, 8)
         q = rng.uniform(-0.5, 0.5, size=2)
-        kappa = fourier_feature_ensemble(fm, QueryPoint(q, 0.5), p).data
-        k = p.cfg.frequencies
+        kappa = fourier_feature_ensemble(fm, QueryPoint(q, 0.5), model).data
+        k = model.cfg.frequencies
         nb = ensemble_weights(q, 5, 5)
         for slot in range(4):
-            bank = estimate_bank(fm, tuple(nb.indices[slot]), 0.5, p)
+            bank = estimate_bank(fm, tuple(nb.indices[slot]), 0.5, model)
             feats = scalar_fourier_oracle(
                 bank.amplitudes.data, bank.frequencies.data, bank.phases.data,
                 nb.delta[slot],
@@ -296,15 +294,14 @@ class TestFourierFeatureEnsemble:
     def test_fixed_neighbor_order_no_canonicalization(self):
         """Permuting neighbor slots (with matched weights) changes kappa."""
         model = micro_model(seed=8)
-        p = model.implicit_params
         rng = np.random.default_rng(54)
         fm = feature_map_from(rng, 5, 5, 8)
         q = rng.uniform(-0.4, 0.4, size=2)
-        amap, fmap = implicit.bank_maps(fm, p)
-        amap_f = amap.reshape(25, 2 * p.cfg.frequencies)
-        fmap_f = fmap.reshape(25, 2 * p.cfg.frequencies)
+        amap, fmap = implicit.bank_maps(fm, model)
+        amap_f = amap.reshape(25, 2 * model.cfg.frequencies)
+        fmap_f = fmap.reshape(25, 2 * model.cfg.frequencies)
         rows, delta, w = neighborhood_geometry(5, 5, np.atleast_2d(q))
-        phases = phase_vector(0.5, p)
+        phases = phase_vector(0.5, model)
         kappa = implicit.ensemble_features(amap_f, fmap_f, phases, rows, delta, w).data
         perm = [1, 0, 3, 2]
         kappa_perm = implicit.ensemble_features(
@@ -318,19 +315,19 @@ class TestCondition:
         """B lattices stacked along H, each query offset to its own crop's
         rows, condition like B separate single-lattice calls."""
         model = micro_model(seed=12)
-        p = model.implicit_params
+        p = model.params
         rng = np.random.default_rng(57)
-        p.t["head.w"].assign_(rng.normal(size=p["head.w"].shape) * 0.05)
+        p["implicit.head.w"].assign_(rng.normal(size=p["implicit.head.w"].shape) * 0.05)
         h, w = 5, 6
-        amap, fmap = implicit.bank_maps(nm.tensor(rng.normal(size=(3, h, w, 8))), p)
+        amap, fmap = implicit.bank_maps(nm.tensor(rng.normal(size=(3, h, w, 8))), model)
         crop = np.repeat(np.arange(3), [7, 4, 9])
         x_q = rng.uniform(-1.0, 1.0, size=(crop.size, 2))
-        phases = implicit.phase_vector(rng.uniform(0.2, 2.0, size=crop.size), p)
-        stacked = implicit.condition(p, amap, fmap, x_q, phases, crop)
+        phases = implicit.phase_vector(rng.uniform(0.2, 2.0, size=crop.size), model)
+        stacked = implicit.condition(model, amap, fmap, x_q, phases, crop)
         for b in range(3):
             rows = crop == b
             single = implicit.condition(
-                p, nm.tensor(amap.data[b]), nm.tensor(fmap.data[b]), x_q[rows],
+                model, nm.tensor(amap.data[b]), nm.tensor(fmap.data[b]), x_q[rows],
                 nm.tensor(phases.data[rows]),
             )
             for part in ("logdet", "alpha", "phi"):
@@ -341,40 +338,39 @@ class TestCondition:
 class TestConditioner:
     def test_zero_head_identity_injector(self):
         model = micro_model(seed=9)
-        p = model.implicit_params
         rng = np.random.default_rng(55)
-        kappa = nm.tensor(rng.normal(size=(5, 8 * p.cfg.frequencies)))
-        cond = conditioner(kappa, p)
-        for k in range(p.cfg.flow_layers):
+        kappa = nm.tensor(rng.normal(size=(5, 8 * model.cfg.frequencies)))
+        cond = conditioner(kappa, model)
+        for k in range(model.cfg.flow_layers):
             np.testing.assert_array_equal(cond.alpha[k].data, 1.0)
             np.testing.assert_array_equal(cond.phi[k].data, 0.0)
 
     def test_clamp_bounds(self):
         model = micro_model(seed=10)
-        p = model.implicit_params
+        p = model.params
         # push the first alpha_pre slot to a raw 20 via the head bias; the
         # other two of D = 3 stay at 0, so the layer's log-det is the bound
-        bias = np.zeros_like(p["head.b"].data)
+        bias = np.zeros_like(p["implicit.head.b"].data)
         bias[0] = 20.0
-        p.t["head.b"].assign_(bias)
-        kappa = nm.tensor(np.zeros((1, 8 * p.cfg.frequencies)))
-        cond = conditioner(kappa, p)
+        p["implicit.head.b"].assign_(bias)
+        kappa = nm.tensor(np.zeros((1, 8 * model.cfg.frequencies)))
+        cond = conditioner(kappa, model)
         assert cond.logdet[0].data[0] == ALPHA_CLAMP
         assert cond.alpha[0].data[0, 0] == pytest.approx(np.exp(8.0))
 
     def test_trunk_gradients_vs_fd(self):
         model = micro_model(seed=11)
-        p = model.implicit_params
+        p = model.params
         # non-zero head so gradients reach the trunk
         rng = np.random.default_rng(56)
-        p.t["head.w"].assign_(rng.normal(size=p["head.w"].shape) * 0.05)
-        kappa_data = rng.normal(size=(3, 8 * p.cfg.frequencies))
-        readouts = [rng.normal(size=(3, p.cfg.patch_dim)) for _ in range(p.cfg.flow_layers)]
+        p["implicit.head.w"].assign_(rng.normal(size=p["implicit.head.w"].shape) * 0.05)
+        kappa_data = rng.normal(size=(3, 8 * model.cfg.frequencies))
+        readouts = [rng.normal(size=(3, model.cfg.patch_dim)) for _ in range(model.cfg.flow_layers)]
 
         def compute():
-            cond = conditioner(nm.tensor(kappa_data), p)
+            cond = conditioner(nm.tensor(kappa_data), model)
             total = nm.tensor(0.0)
-            for k in range(p.cfg.flow_layers):
+            for k in range(model.cfg.flow_layers):
                 total = nm.add(total, nm.tsum(nm.mul(cond.alpha[k], nm.tensor(readouts[k]))))
                 total = nm.add(total, nm.tsum(nm.mul(cond.phi[k], nm.tensor(readouts[k]))))
             return total
@@ -382,9 +378,9 @@ class TestConditioner:
         with nm.GradTape() as tape:
             loss = compute()
         tape.backward(loss)
-        for key in ("trunk.w1", "trunk.w2", "head.w"):
-            fd = numeric_grad(lambda: float(compute().data), p.t[key].data)
-            assert rel(p.t[key].grad, fd) < 1e-4, key
+        for key in ("implicit.trunk.w1", "implicit.trunk.w2", "implicit.head.w"):
+            fd = numeric_grad(lambda: float(compute().data), p[key].data)
+            assert rel(p[key].grad, fd) < 1e-4, key
 
 
 def _bits(a: np.ndarray) -> np.ndarray:

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from linf.config import load_config
+from linf.corpus import toy_corpus
+from linf.imaging import Image
 from linf.model import INIT_FLOW, INIT_HE, INIT_ZERO, Model, param_layout
+from linf.pipeline import ENSEMBLE_FOURIER, ENSEMBLE_LOCAL, super_resolve
+from linf.training import TrainConfig, loss_components, make_batch
 
 from .helpers import micro_config
 
@@ -51,7 +55,34 @@ def test_first_draw_is_encoder_head():
 def test_stages_share_the_parameter_tensors():
     model = Model.create(micro_config(), seed=0)
     params = model.parameters()
-    assert model.encoder_params["head.w"] is params["encoder.head.w"]
-    assert model.implicit_params["trunk.w2"] is params["implicit.trunk.w2"]
+    assert params is not model.params and list(params) == list(param_layout(model.cfg))
+    assert all(model.params[name] is t for name, t in params.items())
+    assert model.flow.weights[0] is params["flow.0.w"]
     assert model.flow.biases[-1] is params[f"flow.{model.cfg.flow_layers - 1}.b"]
 
+
+
+class _ReadLog(dict):
+    """A parameter dict that records every key read with `[]`."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_stages_read_params_by_layout_name():
+    model = Model.create(micro_config(), seed=0)
+    model.params = log = _ReadLog(model.params)
+    cfg = TrainConfig(lr_crop=6, batch=2, pairs_per_image=4, stage=2, steps=1, lr_halve_at=())
+    loss_components(make_batch(toy_corpus(2, 32, seed=1), cfg, np.random.default_rng(2)),
+                    model, cfg)
+    lr = Image(np.random.default_rng(3).random((4, 5, 3)))
+    for ensemble in (ENSEMBLE_FOURIER, ENSEMBLE_LOCAL):
+        super_resolve(lr, 2.0, 0.5, model, ensemble=ensemble, seed=4)
+    layout = param_layout(model.cfg)
+    assert log.read <= set(layout), sorted(log.read - set(layout))
+    assert log.read == {name for name in layout if not name.startswith("flow.")}

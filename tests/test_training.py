@@ -127,7 +127,7 @@ class TestLoss:
         corpus = toy_corpus(4, 32, seed=13)
         cfg = tiny_train_cfg(stage=2)
         model = Model.create(micro_config(), seed=4)
-        head = model.implicit_params.t["head.w"]
+        head = model.params["implicit.head.w"]
         head.assign_(np.random.default_rng(9).normal(size=head.shape) * 0.05)
         batch = make_batch(corpus, cfg, np.random.default_rng(10))
 
