@@ -49,8 +49,8 @@ def latents(count: int, d: int, tau: float, rng: np.random.Generator | None) -> 
 class FlowModel:
     """Stack of (linear, injector) pairs over D = 3 n^2 patch vectors.
 
-    LU factors of each W_k are cached with the parameter version they were
-    computed from and recomputed once the optimizer mutates W_k.
+    LU factors of each W_k are cached with the bytes of the W_k they came
+    from and recomputed once any bit of W_k changes, by whatever means.
     """
 
     def __init__(self, weights: list[nm.Tensor], biases: list[nm.Tensor], patch_side: int):
@@ -60,7 +60,7 @@ class FlowModel:
         for w in weights:
             if w.shape != (self.d, self.d):
                 raise ShapeError(f"flow weight {w.shape} != ({self.d}, {self.d})")
-        self.refresh()
+        self._lu = [(None, None)] * len(weights)  # (bytes of the W_k factored, its factors)
 
     @property
     def num_layers(self) -> int:
@@ -83,18 +83,14 @@ class FlowModel:
         return cls(weights, biases, patch_side)
 
     def lu(self, k: int) -> LuFactors:
-        """LU factors of W_k, recomputed when its version has moved."""
-        w = self.weights[k]
-        version, factors = self._lu[k]
-        if version != w._version:
-            factors = lu_factor(w.data)
-            self._lu[k] = (w._version, factors)
+        """LU factors of W_k, recomputed when any bit of W_k has changed."""
+        w = self.weights[k].data
+        key = w.tobytes()  # by bits: -0.0 == 0.0, yet the two can factor differently
+        kept, factors = self._lu[k]
+        if kept != key:
+            factors = lu_factor(w)
+            self._lu[k] = (key, factors)
         return factors
-
-    def refresh(self) -> None:
-        """Drop cached LU factors after raw in-place weight edits (finite
-        differencing); normal optimizer updates bump versions instead."""
-        self._lu: list[tuple[int, LuFactors | None]] = [(-1, None)] * self.num_layers
 
     def _check(self, x: nm.Tensor, cond: ConditionerOutput) -> nm.Tensor:
         if x.ndim == 1:

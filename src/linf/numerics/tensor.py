@@ -96,13 +96,12 @@ def _relu_mask(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 class Tensor:
     """N-dimensional float64 array, optionally participating in a tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_version")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._version = 0
 
     # -- shape / value access ------------------------------------------------
 
@@ -121,14 +120,13 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- in-place mutation (optimizer use only; invalidates caches) ----------
+    # -- in-place mutation (optimizer use only) -------------------------------
 
     def assign_(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != self.data.shape:
             raise ShapeError(f"assign_ shape {values.shape} != {self.data.shape}")
         self.data = values.copy()
-        self._version += 1
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

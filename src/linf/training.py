@@ -246,6 +246,9 @@ def train(
                 f"{k} ({given[k]!r} vs {saved[k]!r})" for k in saved if given[k] != saved[k]))
         model = ckpt.model
         cfg = ckpt.train_cfg if cfg is None else cfg
+        if cfg.steps < ckpt.step:
+            raise ConfigError(f"{resume}: train.steps = {cfg.steps} is below the checkpoint's "
+                              f"step {ckpt.step}")
         rng = np.random.default_rng()
         rng.bit_generator.state = ckpt.rng_state
         adam = Adam(model.parameters(), cfg)
@@ -505,7 +508,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(header_text)
         model_cfg = ModelConfig.from_dict(header["model_cfg"])
         train_cfg = TrainConfig.from_dict(header["train_cfg"])
-        step, epoch, adam_t = (int(header[k]) for k in ("step", "epoch", "adam_t"))
+        counters = {k: header[k] for k in ("step", "epoch", "adam_t")}
+        for name, value in counters.items():
+            if type(value) is not int or value < 0:  # JSON true loads as an int subclass
+                raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+        step, epoch, adam_t = counters.values()
         rng_state = header["rng_state"]
         np.random.default_rng(0).bit_generator.state = rng_state  # validates it
         # every encoder block and flow layer has records of its own; this bounds

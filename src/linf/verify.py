@@ -140,14 +140,6 @@ def _micro_setup(seed: int):
     return model, batch, cfg
 
 
-def _loss_fn(model, batch, cfg) -> Callable[[], float]:
-    def f():
-        model.flow.refresh()  # FD mutates W in place without version bumps
-        return float(loss_components(batch, model, cfg)[0].data)
-
-    return f
-
-
 def check_gradient_audit(full: bool) -> tuple[bool, str]:
     """Stage-2 loss gradients vs central differences on the micro model.
 
@@ -174,7 +166,9 @@ def check_gradient_audit(full: bool) -> tuple[bool, str]:
     analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for k, p in model.parameters().items()}
 
-    f = _loss_fn(model, batch, cfg)
+    def f() -> float:
+        return float(loss_components(batch, model, cfg)[0].data)
+
     rng = np.random.default_rng(7)
     worst_name, worst = "", 0.0
     for name, p in model.parameters().items():

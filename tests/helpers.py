@@ -1,4 +1,8 @@
-"""Shared builders for micro-scale models and synthetic conditions."""
+"""Shared builders for micro-scale models, synthetic conditions and
+edited checkpoints."""
+
+import json
+import struct
 
 import numpy as np
 
@@ -32,3 +36,12 @@ def identity_cond(layers, dim, batch=1) -> ConditionerOutput:
         [nm.tensor(np.ones((batch, dim))) for _ in range(layers)],
         [nm.tensor(zeros) for _ in range(layers)],
     )
+
+
+def with_header(blob: bytes, **fields) -> bytes:
+    """The checkpoint `blob` with `fields` replaced in its JSON header."""
+    hlen = struct.unpack_from("<I", blob, 8)[0]
+    header = json.loads(blob[12 : 12 + hlen])
+    header.update(fields)
+    text = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen :]

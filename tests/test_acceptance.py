@@ -11,6 +11,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from linf import verify
 from linf.corpus import toy_corpus
@@ -21,12 +22,17 @@ from linf.training import TrainConfig, load_checkpoint, train
 from .helpers import micro_config
 
 
-def report(criterion: int, ok: bool, detail: str) -> None:
-    line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
-    print(line)
-    # also bypass pytest capture so plain `pytest -v` logs show every line
-    print(line, file=sys.__stdout__)
-    assert ok, f"criterion {criterion}: {detail}"
+@pytest.fixture
+def report(capsys):
+    """`report(criterion, ok, detail)` prints the criterion's ACCEPTANCE line
+    once, past pytest's capture so every log shows it, then asserts ok."""
+
+    def report(criterion: int, ok: bool, detail: str) -> None:
+        with capsys.disabled():
+            print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
+        assert ok, f"criterion {criterion}: {detail}"
+
+    return report
 
 
 def timed(fn):
@@ -35,42 +41,42 @@ def timed(fn):
     return ok, detail, time.perf_counter() - start
 
 
-def test_criterion_01_invertibility():
+def test_criterion_01_invertibility(report):
     ok, detail, secs = timed(verify.check_invertibility)
     report(1, ok and secs < 10.0, f"{detail}; {secs:.1f}s (bound 10s)")
 
 
-def test_criterion_02_change_of_variables():
+def test_criterion_02_change_of_variables(report):
     ok, detail, secs = timed(verify.check_logdet_vs_numeric_jacobian)
     report(2, ok and secs < 30.0, f"{detail}; {secs:.1f}s (bound 30s)")
 
 
-def test_criterion_03_gaussian_equivalence():
+def test_criterion_03_gaussian_equivalence(report):
     ok, detail, secs = timed(verify.check_gaussian_equivalence)
     report(3, ok and secs < 30.0, f"{detail}; {secs:.1f}s (bound 30s)")
 
 
-def test_criterion_04_gradient_audit():
+def test_criterion_04_gradient_audit(report):
     ok, detail, secs = timed(lambda: verify.check_gradient_audit(full=True))
     report(4, ok and secs < 120.0, f"{detail}; {secs:.1f}s (bound 120s)")
 
 
-def test_criterion_05_density_normalization():
+def test_criterion_05_density_normalization(report):
     ok, detail, secs = timed(verify.check_density_normalization)
     report(5, ok and secs < 60.0, f"{detail}; {secs:.1f}s (bound 60s)")
 
 
-def test_criterion_06_temperature_law():
+def test_criterion_06_temperature_law(report):
     ok, detail, secs = timed(verify.check_temperature_law)
     report(6, ok and secs < 30.0, f"{detail}; {secs:.1f}s (bound 30s)")
 
 
-def test_criterion_07_ensemble_economics():
+def test_criterion_07_ensemble_economics(report):
     ok, detail, _ = timed(verify.check_ensemble_economics)
     report(7, ok, detail)
 
 
-def test_criterion_08_tiling_exactness():
+def test_criterion_08_tiling_exactness(report):
     ok, detail, _ = timed(verify.check_tiling_exactness)
     report(8, ok, detail)
 
@@ -101,7 +107,7 @@ def _nll_drop(log_path: str, window: int = 50) -> float:
     return (first - last) / abs(first)
 
 
-def test_criterion_09_desk_training(tmp_path):
+def test_criterion_09_desk_training(tmp_path, report):
     start = time.perf_counter()
     env = dict(os.environ)
     # skinny desk-scale gemms run fastest single-threaded; two workers share
@@ -152,7 +158,7 @@ def test_criterion_09_desk_training(tmp_path):
     )
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, report):
     cfg = TrainConfig(
         lr_crop=8, batch=2, pairs_per_image=32, steps=10, steps_per_epoch=5,
         lr_halve_at=(6,), stage=2, seed=11,
@@ -191,6 +197,6 @@ def test_criterion_10_determinism(tmp_path):
     )
 
 
-def test_criterion_11_metric_oracles():
+def test_criterion_11_metric_oracles(report):
     ok, detail, _ = timed(verify.check_metric_oracles)
     report(11, ok, detail)

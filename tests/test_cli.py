@@ -19,7 +19,7 @@ from linf.imaging import Image, write_image
 from linf.model import Model, ModelConfig
 from linf.training import TrainConfig, save_checkpoint
 
-from .helpers import micro_config
+from .helpers import micro_config, with_header
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -229,6 +229,32 @@ class TestTrainCommand:
         assert "trunk_width (24 vs 16)" in capsys.readouterr().err
         code = main(["train", "--config", smoke_config_path, "--out", str(out), "--resume", ckpt])
         assert code == EXIT_OK
+
+    def test_resume_past_steps_exit2_and_out_untouched(self, smoke_config_path, tmp_path,
+                                                        capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", smoke_config_path, "--out", str(out)]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        short = tmp_path / "short.cfg"
+        short.write_text(SMOKE_CONFIG.replace("steps = 4", "steps = 1"))
+        code = main(["train", "--config", str(short), "--out", str(out),
+                     "--resume", str(out / "ckpt_epoch002.linf")])
+        assert code == EXIT_USAGE
+        assert "train.steps = 1 is below the checkpoint's step 4" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("field,value", [("step", -3), ("adam_t", -2), ("epoch", 2.7)])
+    def test_resume_from_bad_counter_exit2(self, smoke_config_path, tmp_path, capsys,
+                                           field, value):
+        out = tmp_path / "run"
+        assert main(["train", "--config", smoke_config_path, "--out", str(out)]) == EXIT_OK
+        ckpt = out / "ckpt_epoch001.linf"
+        ckpt.write_bytes(with_header(ckpt.read_bytes(), **{field: value}))
+        code = main(["train", "--config", smoke_config_path, "--out", str(out),
+                     "--resume", str(ckpt)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bad checkpoint header" in err and f"{field} must be an integer >= 0" in err
 
     @pytest.mark.parametrize("case", ["out-under-a-file", "log-is-a-directory"])
     def test_unwritable_out_exit2_before_first_step(self, smoke_config_path, tmp_path,
@@ -689,7 +715,6 @@ class TestVerifyCommand:
             # transposed weights: wrong unless every W is symmetric
             flipped = copy.copy(self)
             flipped.weights = [nm.transpose(w) for w in self.weights]
-            flipped.refresh()
             return inverse(flipped, z, cond)
 
         monkeypatch.setattr(FlowModel, "inverse", broken_inverse)

@@ -16,7 +16,8 @@ from linf.training import TrainConfig
 from .helpers import micro_config
 from .oracles import conditioner_head_chain
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "fingerprint.py"
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,18 @@ def test_failed_side_exits_2(fp, monkeypatch, capsys):
     monkeypatch.setattr(fp, "start_side", lambda root: next(sides))
     assert fp.main(["HEAD~1"]) == 2
     assert "parent battery failed" in capsys.readouterr().err
+
+
+def test_cli_battery_records_both_sweeps_and_keeps_stdout_clean(fp, tmp_path, capsys):
+    recorded = {}
+    fp.battery_cli(recorded.__setitem__, ROOT / "configs", tmp_path)
+    assert sorted(recorded) == ["cli/sweep/fourier", "cli/sweep/local"]
+    for csv in recorded.values():
+        lines = csv.decode().splitlines()
+        assert lines[0] == "tau,psnr_y,ssim,diversity"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.5"]
+    assert recorded["cli/sweep/fourier"] != recorded["cli/sweep/local"]
+    assert capsys.readouterr().out == ""  # a side's stdout is its fingerprint JSON
 
 
 def _gradient_prints(fp) -> dict[str, str]:

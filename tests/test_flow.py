@@ -196,6 +196,38 @@ class TestLuCache:
         assert after is not before
         assert after.logabsdet() != before.logabsdet()
 
+    @pytest.mark.parametrize("patch_side", [1, 3])
+    def test_in_place_edit_matches_a_fresh_flow(self, patch_side):
+        """An edit of W's array, made without `assign_`, is seen by the next
+        pass: factors, inverse and log-density equal a fresh flow's bits."""
+        rng = np.random.default_rng(69)
+        flow = random_flow(rng, patch_side=patch_side, layers=2)
+        cond = random_cond(rng, flow.num_layers, flow.d, batch=5)
+        z = rng.normal(size=(5, flow.d))
+        m = flow.inverse(nm.tensor(z), cond).data  # factors every W_k
+        flow.weights[1].data[0, 0] += 0.5
+        flow.weights[0].data[-1] *= -1.0
+        fresh = FlowModel([nm.tensor(w.data.copy()) for w in flow.weights],
+                          [nm.tensor(b.data.copy()) for b in flow.biases], patch_side)
+        for k in range(flow.num_layers):
+            expect = lu_factor(flow.weights[k].data)
+            for got in (flow.lu(k), fresh.lu(k)):
+                np.testing.assert_array_equal(got.lu, expect.lu)
+                np.testing.assert_array_equal(got.perm, expect.perm)
+        np.testing.assert_array_equal(flow.inverse(nm.tensor(z), cond).data,
+                                      fresh.inverse(nm.tensor(z), cond).data)
+        np.testing.assert_array_equal(flow.log_prob(nm.tensor(m), cond).data,
+                                      fresh.log_prob(nm.tensor(m), cond).data)
+
+    def test_signed_zero_edit_is_seen(self):
+        """-0.0 == 0.0, but the factors keep the sign: the cache compares bits."""
+        flow = identity_flow(layers=1)
+        before = flow.lu(0).lu.tobytes()
+        flow.weights[0].data[1, 0] = -0.0
+        after = flow.lu(0).lu.tobytes()
+        assert after != before
+        assert after == lu_factor(flow.weights[0].data).lu.tobytes()
+
 
 class TestCounters:
     def test_row_counting(self):
@@ -230,7 +262,6 @@ class TestGradientsThroughFlow:
             )
 
         def compute():
-            flow.refresh()  # FD perturbs W in place, bypassing version bumps
             return nm.neg(nm.tmean(flow.log_prob(nm.tensor(m), build_cond())))
 
         with nm.GradTape() as tape:

@@ -24,7 +24,7 @@ from linf.training import (
     train,
 )
 
-from .helpers import micro_config
+from .helpers import micro_config, with_header
 
 
 def tiny_train_cfg(**overrides) -> TrainConfig:
@@ -429,6 +429,19 @@ class TestCheckpointIO:
         save_checkpoint(path, model, tiny_train_cfg(), 0, 0, np.random.default_rng(0))
         with pytest.raises(ConfigError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["step", "epoch", "adam_t"])
+    @pytest.mark.parametrize("value", [-1, 2.5, "3", True])
+    def test_counters_must_be_non_negative_integers(self, tmp_path, field, value):
+        path = tmp_path / "m.linf"
+        save_checkpoint(str(path), Model.create(micro_config(), seed=0), tiny_train_cfg(), 2, 1,
+                        np.random.default_rng(0))
+        path.write_bytes(with_header(path.read_bytes(), **{field: value}))
+        with pytest.raises(ConfigError, match="bad checkpoint header") as info:
+            load_checkpoint(str(path))
+        message = str(info.value)
+        assert f"{field} must be an integer >= 0, got {value!r}" in message
+        assert message.endswith("(byte offset 12)")
 
     def test_fuzzed_checkpoints_load_or_raise_config_error(self, tmp_path):
         blob = open(_trained_checkpoint(tmp_path), "rb").read()

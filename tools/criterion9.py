@@ -31,8 +31,7 @@ ACCEPTANCE = re.compile(r"ACCEPTANCE 9: (PASS|FAIL) - (.*)")
 
 
 def command() -> list[str]:
-    # the test prints its line to sys.__stdout__ as well; with sys-level
-    # capture that copy reaches the output once, also when the test passes
+    # the test prints its line once, past pytest's capture, in any capture mode
     return [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--capture=sys",
             TEST]
 

@@ -15,6 +15,8 @@ once, BLAS on one thread each) importing `linf` from that side's `src/`:
 - `super_resolve` at `tau=0` and seeded `tau=0.6`, for both ensembles, both
   weightings, patch sides 1 and 3 and chunks 4096 and 97, on a 19x23 and a
   90x77 input;
+- the CSV of `linf sweep` over the toy corpus at x2, `tau` 0 and 0.5, two
+  samples, for both ensembles;
 - the detail strings of `linf verify --level full`.
 
 A fingerprint is the SHA-256 of a value's dtype, shape and raw bytes, so a
@@ -28,8 +30,10 @@ kept.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -194,6 +198,27 @@ def battery_sr(record: Record, configs: Path) -> None:
                                    f"chunk{chunk}", out.data)
 
 
+def battery_cli(record: Record, configs: Path, tmp: Path) -> None:
+    """`linf sweep` CSV bytes for both ensembles, from a saved perturbed desk model."""
+    from linf import cli
+    from linf.config import load_config
+    from linf.training import save_checkpoint
+
+    model_cfg, train_cfg, _ = load_config(str(configs / "desk.cfg"))
+    model_path = tmp / "sweep.linf"
+    save_checkpoint(str(model_path), perturbed(model_cfg, seed=12), train_cfg, 0, 0,
+                    np.random.default_rng(0))
+    for ensemble in ("fourier", "local"):
+        out = tmp / f"sweep-{ensemble}.csv"
+        argv = ["sweep", "--model", str(model_path), "--corpus", "toy", "--scale", "2",
+                "--taus", "0,0.5", "--samples", "2", "--ensemble", ensemble, "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):  # stdout carries the fingerprints
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"linf {' '.join(argv)} exited {code}")
+        record(f"cli/sweep/{ensemble}", out.read_bytes())
+
+
 def battery_verify(record: Record) -> None:
     from linf.verify import LEVEL_FULL, run_suite
 
@@ -212,6 +237,7 @@ def collect(configs: Path) -> dict[str, str]:
         battery_gradients(record, configs)
         battery_training(record, configs, Path(tmp))
         battery_sr(record, configs)
+        battery_cli(record, configs, Path(tmp))
         battery_verify(record)
     return prints
 
