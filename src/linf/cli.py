@@ -29,7 +29,7 @@ from .errors import ConfigError, LinfError, TrainingError, UsageError
 from .flow import check_tau
 from .imaging import (
     Image, MetricReport, bicubic_resample, check_writable, diversity, psnr, read_image, ssim,
-    write_image,
+    write_atomic, write_image,
 )
 from .pipeline import ENSEMBLE_FOURIER, ENSEMBLE_LOCAL, ScaleSpec, build_grid, super_resolve
 from .training import load_checkpoint, train
@@ -148,8 +148,7 @@ def _eval_pair(model, hr: Image, spec: ScaleSpec, tau: float, samples: int, seed
 
 def _write_csv(path: str, text: str) -> None:
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
     except OSError as exc:
         raise UsageError(f"cannot write csv {path}: {exc.strerror or exc}") from exc
 

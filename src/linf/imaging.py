@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -239,17 +239,29 @@ def _to_bytes(img: Image) -> np.ndarray:
     return np.clip(np.round(img.data * 255.0), 0, 255).astype(np.uint8)
 
 
+def write_atomic(path: str, write: Callable[[BinaryIO], object]) -> None:
+    """Call `write` on a binary file next to `path` (`<path>.<pid>.tmp`) and
+    rename it over `path`, so a write that fails leaves any earlier file at
+    `path` as it was and no temporary file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_image(img: Image, path: str) -> None:
     """Write 8-bit PPM (P6); PNG when the path ends in .png and Pillow exists.
 
-    A path that cannot be written raises UsageError."""
+    The write is atomic (write_atomic). A path that cannot be written raises
+    UsageError."""
     try:
-        if str(path).lower().endswith(".png"):
-            _write_png(img, path)
-            return
-        with open(path, "wb") as fh:
-            fh.write(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"))
-            fh.write(_to_bytes(img).tobytes())
+        writer = _write_png if str(path).lower().endswith(".png") else _write_ppm
+        write_atomic(path, lambda fh: writer(img, fh))
     except OSError as exc:
         raise UsageError(f"cannot write image {path}: {exc.strerror or exc}") from exc
 
@@ -337,8 +349,13 @@ def _pillow():
     return PilImage
 
 
-def _write_png(img: Image, path: str) -> None:
-    _pillow().fromarray(_to_bytes(img), mode="RGB").save(path, format="PNG")
+def _write_ppm(img: Image, fh: BinaryIO) -> None:
+    fh.write(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"))
+    fh.write(_to_bytes(img).tobytes())
+
+
+def _write_png(img: Image, fh: BinaryIO) -> None:
+    _pillow().fromarray(_to_bytes(img), mode="RGB").save(fh, format="PNG")
 
 
 def _read_png(path: str) -> Image:

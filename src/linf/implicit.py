@@ -31,6 +31,7 @@ if TYPE_CHECKING:
     from .model import Model
 
 ALPHA_CLAMP = 8.0  # pre-activation bound; alpha = exp(clamp(pre, -8, 8))
+TRUNK_BAND_ROWS = 512  # query rows per untaped trunk band (see conditioner)
 
 WEIGHTING_FULL = "full"
 WEIGHTING_NONE = "none"
@@ -134,16 +135,34 @@ def conditioner(kappa: nm.Tensor, model: Model) -> ConditionerOutput:
     The head output holds per layer contiguous (alpha_pre_k, phi_k) blocks
     of D each, k ascending; one op (`numerics.conditioner_head`) clamps,
     sums and exponentiates the alpha_pre blocks and hands out the phi
-    blocks as views. Each array is released once the next layer has read
-    it: without a tape, a kappa the caller holds no reference to is freed
-    after the first trunk layer, and the trunk output before the head op
-    allocates its buffer.
+    blocks as views. Under a tape each layer is one call over all Q rows.
+    Without one the two trunk layers run per band of TRUNK_BAND_ROWS rows,
+    each band writing its rows of one [Q, width] buffer, so no second full
+    trunk layer exists. Row bands of the trunk GEMMs give the whole call's
+    bits; those of the head GEMM do not, so the head is one call. kappa is
+    released after the last band, the trunk buffer once the head GEMM has
+    read it, and the head output once the head op has read it.
     """
-    nm.count("conditioner", kappa.shape[0])
+    q = kappa.shape[0]
+    nm.count("conditioner", q)
     p = model.params
-    h = nm.affine(kappa, p["implicit.trunk.w1"], p["implicit.trunk.b1"], relu=True)
-    del kappa
-    h = nm.affine(h, p["implicit.trunk.w2"], p["implicit.trunk.b2"], relu=True)
+    w1, b1 = p["implicit.trunk.w1"], p["implicit.trunk.b1"]
+    w2, b2 = p["implicit.trunk.w2"], p["implicit.trunk.b2"]
+    if nm.active_tape() is None:
+        x = nm.tensor(kappa).data
+        del kappa
+        h = np.empty((q, w2.shape[1]))
+        # a one-row GEMM takes numpy's vector path, whose bits differ, so a
+        # last band of one row joins the band before it
+        starts = list(range(0, max(q - 1, 1), TRUNK_BAND_ROWS))
+        for start, stop in zip(starts, starts[1:] + [q]):
+            nm.affine(nm.affine(x[start:stop], w1, b1, relu=True), w2, b2, relu=True,
+                      out=h[start:stop])
+        del x
+    else:
+        h = nm.affine(kappa, w1, b1, relu=True)
+        del kappa
+        h = nm.affine(h, w2, b2, relu=True)
     h = nm.affine(h, p["implicit.head.w"], p["implicit.head.b"])
     return ConditionerOutput(*nm.conditioner_head(
         h, model.cfg.flow_layers, model.cfg.patch_dim, ALPHA_CLAMP))

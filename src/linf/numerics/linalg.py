@@ -35,7 +35,7 @@ class LuFactors:
         """Solve A x = b for b of shape [D] or [D, nrhs]."""
         b = np.asarray(b, dtype=np.float64)
         vector = b.ndim == 1
-        y = b.reshape(self.d, -1)[self.perm].copy()
+        y = b.reshape(self.d, -1)[self.perm]  # fancy indexing copies
         lu = self.lu
         # forward substitution, L unit lower triangular
         for i in range(1, self.d):

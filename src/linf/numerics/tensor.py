@@ -391,8 +391,10 @@ def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
     return _make(out.reshape(q, n * k2), (amp, freq, phases), bwd)
 
 
-def affine(x, w, b, relu: bool = False) -> Tensor:
-    """x @ w + b, optionally through relu, in one output buffer.
+def affine(x, w, b, relu: bool = False, out: np.ndarray | None = None) -> Tensor:
+    """x @ w + b, optionally through relu, in one output buffer: `out` when
+    given (a C-contiguous [rows, cols] array, e.g. a row band of a larger
+    buffer), else a new one.
 
     Same values and gradients as relu(add(matmul(x, w), b)); a probe reads
     the pre-activation's kink margin."""
@@ -401,7 +403,7 @@ def affine(x, w, b, relu: bool = False) -> Tensor:
         raise ShapeError(f"affine expects 2-D operands, got {x.shape} @ {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine inner extents disagree: {x.shape} @ {w.shape}")
-    out = x.data @ w.data
+    out = np.matmul(x.data, w.data, out=out)
     out += b.data
     if relu:
         _relu_in_place(out)

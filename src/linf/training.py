@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics as nm
 from .encoder import encode_batch
 from .errors import ConfigError, SingularMatrixError, TrainingError, UsageError, check_ranges
-from .imaging import Image, bicubic_resample
+from .imaging import Image, bicubic_resample, write_atomic
 from .implicit import bank_maps, condition, phase_vector
 from .model import Model, ModelConfig, param_layout
 from .pipeline import PatchGrid, extract_targets, round_half_up
@@ -401,8 +401,8 @@ def save_checkpoint(
 ) -> None:
     """Little-endian container: magic, version, JSON header, tensor records.
 
-    The file is written next to `path` and renamed over it, so a failed
-    write leaves any earlier checkpoint at `path` untouched."""
+    The write is atomic (`imaging.write_atomic`): a failed write leaves any
+    earlier checkpoint at `path` untouched."""
     header = {
         "model_cfg": model.cfg.to_dict(),
         "train_cfg": cfg.to_dict(),
@@ -416,21 +416,17 @@ def save_checkpoint(
         records += [(f"adam.m.{k}", v) for k, v in adam.m.items()]
         records += [(f"adam.v.{k}", v) for k, v in adam.v.items()]
     blob = json.dumps(header).encode("utf-8")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", len(records)))
-            for name, tensor in records:
-                _write_record(fh, name, tensor.data if isinstance(tensor, nm.Tensor) else tensor)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+
+    def write(fh) -> None:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", len(records)))
+        for name, tensor in records:
+            _write_record(fh, name, tensor.data if isinstance(tensor, nm.Tensor) else tensor)
+
+    write_atomic(path, write)
 
 
 class _Reader:

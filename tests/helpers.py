@@ -1,6 +1,8 @@
-"""Shared builders for micro-scale models, synthetic conditions and
-edited checkpoints."""
+"""Shared builders for micro-scale models, synthetic conditions, edited
+checkpoints and a disk that fills up mid-write."""
 
+import builtins
+import errno
 import json
 import struct
 
@@ -45,3 +47,30 @@ def with_header(blob: bytes, **fields) -> bytes:
     header.update(fields)
     text = json.dumps(header).encode("utf-8")
     return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen :]
+
+
+class _FullDisk:
+    """A binary file that takes `room` bytes and then fails as a full disk
+    does, after writing the part that fitted."""
+
+    def __init__(self, fh, room: int):
+        self.fh, self.room = fh, room
+
+    def write(self, data) -> int:
+        if len(data) > self.room:
+            self.fh.write(data[: self.room])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def full_disk_open(room: int):
+    """A stand-in for a module's `open` whose files fail after `room` bytes."""
+    return lambda path, mode="r": _FullDisk(builtins.open(path, mode), room)

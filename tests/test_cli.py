@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linf import cli
+from linf import cli, imaging
 from linf.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY, default_tau, main
 from linf.config import _FIELD_TYPES, DataConfig, build_configs, load_config, parse_config_text
 from linf.corpus import toy_corpus
@@ -19,7 +19,7 @@ from linf.imaging import Image, write_image
 from linf.model import Model, ModelConfig
 from linf.training import TrainConfig, save_checkpoint
 
-from .helpers import micro_config, with_header
+from .helpers import full_disk_open, micro_config, with_header
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -618,6 +618,16 @@ class TestSweepCommand:
     def test_failed_csv_write_exit2(self, tmp_path):
         with pytest.raises(UsageError, match="cannot write csv"):
             cli._write_csv(str(tmp_path / "nodir" / "x.csv"), "tau\n")
+
+    def test_csv_write_failing_midway_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        cli._write_csv(str(path), "tau,psnr\n0,30\n")
+        before = path.read_bytes()
+        monkeypatch.setattr(imaging, "open", full_disk_open(5), raising=False)
+        with pytest.raises(UsageError, match="cannot write csv .*: No space left on device"):
+            cli._write_csv(str(path), "tau,psnr\n0.5,29\n")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
     def test_trained_model_tau_ordering_and_diversity_ratio(self, tmp_path, capsys):
         # mean output maximizes PSNR; diversity scales linearly in tau. The

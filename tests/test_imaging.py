@@ -10,6 +10,8 @@ from linf.errors import ImageFormatError, ImageParseError, UsageError
 from linf.imaging import Image
 from linf.verify import _naive_bicubic
 
+from .helpers import full_disk_open
+
 
 def rgb(arr2d):
     """Replicate a 2-D array across RGB channels."""
@@ -242,6 +244,17 @@ class TestFileIO:
         path.write_bytes(b"P6\n# a comment\n1 1\n255\n\x10\x20\x30")
         img = imaging.read_image(str(path))
         np.testing.assert_allclose(img.data[0, 0], [0x10 / 255, 0x20 / 255, 0x30 / 255])
+
+    def test_write_failing_midway_keeps_previous_file(self, tmp_path, monkeypatch):
+        # the disk fills up after the 11-byte header of the new image
+        path = tmp_path / "x.ppm"
+        imaging.write_image(Image(np.full((8, 8, 3), 0.5)), str(path))
+        before = path.read_bytes()
+        monkeypatch.setattr(imaging, "open", full_disk_open(20), raising=False)
+        with pytest.raises(UsageError, match="cannot write image .*: No space left on device"):
+            imaging.write_image(Image(np.zeros((4, 4, 3))), str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ppm"]
 
     def test_png_roundtrip_when_available(self, tmp_path):
         pytest.importorskip("PIL")

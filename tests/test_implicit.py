@@ -1,11 +1,16 @@
 """Conditioner mechanism against scalar-transcription and closed-form oracles."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from linf import numerics as nm
 from linf import implicit
+from linf.config import load_config
 from linf.implicit import ALPHA_CLAMP, conditioner, neighborhood_geometry, phase_vector
+from linf.model import Model
 
 from .helpers import micro_model
 from linf.corpus import toy_corpus
@@ -22,6 +27,8 @@ from .oracles import (
     pixel_centers,
 )
 from .test_tensor import numeric_grad, rel
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def scalar_fourier_oracle(amps, freqs, phases, delta):
@@ -495,3 +502,52 @@ class TestConditionerHead:
                                           err_msg=name)
         assert fused[2] == chain[2]
         assert chain[3] - fused[3] == 5 * 3 - 1  # micro model: 3 flow layers
+
+
+class TestBandedTrunk:
+    """Without a tape the conditioner runs its trunk in row bands; under a
+    tape each trunk layer is one call. Both give the same bits, kink margin
+    and pass counts, for whole, partial and single bands."""
+
+    @staticmethod
+    def _model(name):
+        if name == "micro":
+            model = micro_model(seed=13)
+        else:
+            cfg, _, _ = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+            model = Model.create(cfg, seed=0)
+        rng = np.random.default_rng(75)
+        for key, t in model.params.items():
+            if key.startswith("implicit."):
+                t.assign_(0.2 * rng.standard_normal(t.shape))
+        return model
+
+    @pytest.mark.parametrize("name", ["desk", "patch3", "micro"])
+    def test_banded_equals_taped(self, name):
+        model = self._model(name)
+        rng = np.random.default_rng(76)
+        # 4096 and 1168 span several bands, 1168 ends in a partial one, 513
+        # ends one row past a band and 97 and 1 fit in one
+        assert 97 < implicit.TRUNK_BAND_ROWS <= 1168 // 2
+        for q in (4096, 1168, 513, 97, 1):
+            kappa = rng.standard_normal((q, model.params["implicit.trunk.w1"].shape[0]))
+            with nm.probe(margins=True) as banded_probe:
+                banded = conditioner(nm.tensor(kappa), model)
+            with nm.probe(margins=True) as taped_probe, nm.GradTape() as tape:
+                taped = conditioner(nm.tensor(kappa, requires_grad=True), model)
+            assert len(tape) == 4  # three affine records and the head op
+            for part in ("alpha", "phi", "logdet"):
+                for got, want in zip(getattr(banded, part), getattr(taped, part)):
+                    np.testing.assert_array_equal(_bits(got.data), _bits(want.data),
+                                                  err_msg=f"{name} Q={q} {part}")
+            assert banded_probe.kink_margin == taped_probe.kink_margin
+            assert banded_probe.passes == taped_probe.passes == {"conditioner": q}
+
+    @pytest.mark.parametrize("stage, records", [(1, 106), (2, 152)])
+    def test_desk_step_tape_records(self, stage, records):
+        model_cfg, train_cfg, _ = load_config(str(CONFIG_DIR / "desk.cfg"))
+        cfg = dataclasses.replace(train_cfg, stage=stage)
+        batch = make_batch(toy_corpus(2, 96, seed=2), cfg, np.random.default_rng(3))
+        with nm.GradTape() as tape:
+            loss_components(batch, Model.create(model_cfg, seed=0), cfg)
+        assert len(tape) == records

@@ -429,6 +429,35 @@ class TestSuperResolve:
             tracemalloc.stop()
         assert peak <= head_bytes + alpha_bytes + image_bytes + slack
 
+    def test_desk_working_set_bound(self):
+        """Traced peak of a nine-chunk desk x4 super_resolve: one chunk's
+        [Q, trunk_width] trunk buffer, head output and alpha buffer, the
+        image-level arrays (bank maps, patch table, the output raster and the
+        bilinear base), and 3.25 MiB of slack. The slack covers what the
+        trunk's row bands hold beyond the head and alpha buffers, which they
+        never coexist with: the [Q, 8K] features (4 MiB) and one band's
+        first-layer output. Holding both full [Q, trunk_width] trunk layers
+        at once, as an unbanded trunk does, exceeds it by about 1.5 MiB."""
+        cfg, _, _ = load_config(str(CONFIG_DIR / "desk.cfg"))
+        model = Model.create(cfg, seed=0)
+        lr = toy_corpus(1, 48, seed=1)[0]
+        grid = build_grid(ScaleSpec(4.0, 48, 48), cfg.patch_side)
+        assert grid.num_patches == 9 * 4096
+        q, d, layers = 4096, cfg.patch_dim, cfg.flow_layers
+        trunk_bytes = q * cfg.trunk_width * 8
+        head_bytes = q * 2 * d * layers * 8
+        alpha_bytes = q * d * layers * 8
+        image_bytes = (2 * 48 * 48 * 2 * cfg.frequencies + grid.num_patches * d
+                       + 2 * 192 * 192 * 3) * 8
+        slack = 3.25 * 2**20
+        tracemalloc.start()
+        try:
+            super_resolve(lr, 4.0, 0.5, model, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= trunk_bytes + head_bytes + alpha_bytes + image_bytes + slack
+
     def test_local_and_fourier_agree_on_1x1_map(self):
         # a 1x1 feature map makes all four neighborhoods identical
         model = micro_model(seed=26)

@@ -1,9 +1,10 @@
-"""tools/sr_memory.py: one tiny side end to end in its own process, and the
---sides parsing."""
+"""tools/sr_memory.py: one tiny side end to end in its own processes, the
+traced-peak reading, and the --sides parsing."""
 
 import argparse
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,21 @@ def test_tiny_side_reports_its_peak(tool, capsys):
     assert (row["lr_side"], row["output_pixels"]) == (4, 16 * 16)
     assert 0 < row["rss_before_mb"] <= row["peak_rss_mb"]
     assert row["bytes_per_output_pixel"] >= 0
+    assert 0 < row["traced_peak_mb"] < row["peak_rss_mb"]
+
+
+def test_traced_peak_read_apart_from_rss(tool, monkeypatch):
+    """The traced reading gives only its tracemalloc peak and leaves tracing
+    off; the RSS reading never starts tracing."""
+    traced = tool.measure(4, traced=True)
+    assert list(traced) == ["traced_peak_mb"] and traced["traced_peak_mb"] > 0
+    assert not tracemalloc.is_tracing()
+
+    def no_tracing():
+        raise AssertionError("the RSS reading started tracemalloc")
+
+    monkeypatch.setattr(tool.tracemalloc, "start", no_tracing)
+    assert "traced_peak_mb" not in tool.measure(4)
 
 
 @pytest.mark.parametrize("text", ["48,x", "0", "48,-1", ""])
