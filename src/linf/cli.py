@@ -98,8 +98,9 @@ def _check_seed(seed: int) -> None:
 
 def cmd_sr(args) -> int:
     tau = args.tau if args.tau is not None else default_tau(args.scale)
-    # the seed, output, input and scale are checked before the model is loaded
+    # the seed, tau, output, input and scale are checked before the model is loaded
     _check_seed(args.seed)
+    check_tau(tau)
     check_writable(args.out)
     lr = read_image(args.input)
     spec = ScaleSpec(args.scale, lr.height, lr.width)

@@ -7,7 +7,6 @@ the declared type of the target field. Unknown keys are rejected by name.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -49,6 +48,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         full = f"{section}.{key.strip()}" if section else key.strip()
+        if full in values:
+            raise ConfigError(f"{source}:{lineno}: key {full!r} given twice")
         values[full] = value.split("#", 1)[0].strip()
     return values
 
@@ -97,7 +98,9 @@ def build_configs(values: dict[str, str]) -> tuple[ModelConfig, TrainConfig, Dat
 
 
 def load_config(path: str) -> tuple[ModelConfig, TrainConfig, DataConfig]:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_configs(parse_config_text(fh.read(), source=path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return build_configs(parse_config_text(text, source=path))

@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..errors import ConfigError, ShapeError, UsageError
-from .linalg import LuFactors, lu_factor
+from .linalg import LuFactors
 
 _state = threading.local()  # this thread's open tapes and probes
 
@@ -508,50 +508,42 @@ def index_rows(a, idx: np.ndarray) -> Tensor:
     return _make(a.data[idx], (a,), bwd)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = tensor(a)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+    return _make(a.data.sum(axis=axis), (a,), bwd)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
     a = tensor(a)
-    if axis is None:
-        count = a.size
-    else:
-        count = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(tsum(a), 1.0 / a.size)
 
 
 # -- linear-algebra primitives ----------------------------------------------------
 
 
-def logabsdet(w, lu: LuFactors | None = None) -> Tensor:
-    """log|det W| of a square matrix; backward uses d log|det W| = W^{-T}."""
+def logabsdet(w, lu: LuFactors) -> Tensor:
+    """log|det W| from W's LU factors; backward uses d log|det W| = W^{-T}."""
     w = tensor(w)
-    factors = lu if lu is not None else lu_factor(w.data)
 
     def bwd(g):
-        return (float(g) * factors.inverse().T,)
+        return (float(g) * lu.inverse().T,)
 
-    return _make(np.float64(factors.logabsdet()), (w,), bwd)
+    return _make(np.float64(lu.logabsdet()), (w,), bwd)
 
 
-def solve_rows(y, w, lu: LuFactors | None = None) -> Tensor:
-    """Row-wise solve: returns X with X @ W.T == Y, i.e. X = Y @ W^{-T}."""
+def solve_rows(y, w, lu: LuFactors) -> Tensor:
+    """Row-wise solve by W's LU factors: X with X @ W.T == Y, i.e. X = Y @ W^{-T}."""
     y, w = tensor(y), tensor(w)
-    factors = lu if lu is not None else lu_factor(w.data)
-    x = factors.solve(y.data.T).T
+    x = lu.solve(y.data.T).T
 
     def bwd(g):
-        gy = factors.solve_transposed(g.T).T  # G @ W^{-1}
+        gy = lu.solve_transposed(g.T).T  # G @ W^{-1}
         gw = -gy.T @ x
         return (gy, gw)
 

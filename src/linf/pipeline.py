@@ -31,6 +31,7 @@ from .model import Model
 
 ENSEMBLE_FOURIER = "fourier"
 ENSEMBLE_LOCAL = "local"
+CHUNK_QUERIES = 4096  # queries per super_resolve chunk (see super_resolve)
 
 
 def round_half_up(x: float) -> int:
@@ -217,27 +218,22 @@ def super_resolve(
     tau: float,
     model: Model,
     ensemble: str = ENSEMBLE_FOURIER,
-    chunk: int = 4096,
     seed: int | None = None,
 ) -> Image:
     """Arbitrary-scale SR: one encode, h*w queries, bilinear base plus texture.
 
     tau=0 is fully deterministic and leaves the generator unused. With tau>0
     each chunk draws its latent rows from one generator seeded with `seed`,
-    in row-major patch order, so the latents equal one up-front draw and do
-    not depend on chunking. The outputs can differ in their last bits between
-    chunk sizes, because BLAS picks its GEMM kernels by row count.
+    in row-major patch order, so the latents equal one up-front draw.
 
     Per image: the encoder and the bank maps, the texture patches, and at
     the end the bilinear base, to which the texture is added and which is
-    clipped in place. Per chunk of queries: its patch centers and latents,
-    the condition (`implicit.condition`) and the flow inverse. Phases
-    depend only on the chunk size, so they are computed again only for a
-    shorter last chunk.
+    clipped in place. Per chunk of CHUNK_QUERIES queries: its patch centers
+    and latents, the condition (`implicit.condition`) and the flow inverse.
+    Phases depend only on the chunk size, so they are computed again only
+    for a shorter last chunk.
     """
     spec = ScaleSpec(s, lr.height, lr.width)
-    if chunk < 1:
-        raise UsageError(f"chunk must be >= 1, got {chunk}")
     check_tau(tau)
     if ensemble not in (ENSEMBLE_FOURIER, ENSEMBLE_LOCAL):
         raise UsageError(f"unknown ensemble mode {ensemble!r}")
@@ -247,8 +243,8 @@ def super_resolve(
     amap, fmap = bank_maps(encode_batch(nm.tensor(lr.data), model), model)
     patches = np.empty((grid.num_patches, d))
     phases = None
-    for start in range(0, grid.num_patches, chunk):
-        stop = min(start + chunk, grid.num_patches)
+    for start in range(0, grid.num_patches, CHUNK_QUERIES):
+        stop = min(start + CHUNK_QUERIES, grid.num_patches)
         if phases is None or phases.shape[0] != stop - start:
             phases = phase_vector(np.full(stop - start, spec.cell), model)
         patches[start:stop] = generate_texture_patches(

@@ -208,6 +208,26 @@ class TestTrainCommand:
         assert code == EXIT_USAGE
         assert "warp_speed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["directory", "undecodable", "repeated-key"])
+    def test_unreadable_or_repeated_config_exit2(self, tmp_path, capsys, case):
+        path = tmp_path / "bad.cfg"
+        text = SMOKE_CONFIG.replace("\nsteps = 4\n", "\nsteps = 4\nsteps = 2\n")
+        if case == "directory":
+            path.mkdir()
+        elif case == "undecodable":
+            path.write_bytes(SMOKE_CONFIG.encode() + b"# \xff\n")
+        else:
+            path.write_text(text)
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if case == "repeated-key":
+            lineno = text.splitlines().index("steps = 2") + 1
+            assert f"{path}:{lineno}: key 'train.steps' given twice" in err
+        else:
+            assert f"cannot read config {path}: " in err
+
     def test_smoke_run_writes_checkpoint(self, smoke_config_path, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["train", "--config", smoke_config_path, "--out", str(out)])
@@ -399,14 +419,22 @@ class TestSrCommand:
                      "--out", str(tmp_path / "o.ppm")])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("scale,tau", [("2", "-1"), ("nan", "0.5"), ("1e300", "0.5")])
-    def test_bad_tau_or_scale_exit2(self, micro_checkpoint, tmp_path, capsys, scale, tau):
+    @pytest.mark.parametrize("scale,tau", [("2", "-1"), ("2", "nan"), ("nan", "0.5"),
+                                           ("1e300", "0.5")])
+    def test_bad_tau_or_scale_exit2(self, micro_checkpoint, tmp_path, capsys, monkeypatch,
+                                    scale, tau):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called before --tau and --scale were checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_run)
         inp = self._write_input(tmp_path)
         code = main(["sr", inp, "--model", micro_checkpoint, "--scale", scale, "--tau", tau,
                      "--out", str(tmp_path / "o.ppm")])
         assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no banner
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
         assert not (tmp_path / "o.ppm").exists()
 
     def test_negative_seed_exit2_before_loading(self, micro_checkpoint, tmp_path, capsys,

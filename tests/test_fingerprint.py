@@ -4,6 +4,7 @@ that the gradient battery must catch. No parent is exported."""
 
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,30 @@ def _gradient_prints(fp) -> dict[str, str]:
                       "micro", fp.perturbed(micro_config(), seed=3), cfg,
                       toy_corpus(2, 32, seed=5), seed=4, steps=2)
     return prints
+
+
+def test_sr_chunks_set_by_argument_or_by_constant(fp):
+    """The sr battery sizes its chunks on a tree whose `super_resolve` takes
+    `chunk` and on one whose pipeline reads `CHUNK_QUERIES`, and leaves the
+    constant as it found it."""
+    with_arg = types.ModuleType("with_arg")
+    with_arg.super_resolve = lambda lr, seed=None, chunk=4096: (lr, seed, chunk)
+    assert fp.super_resolve_in_chunks(with_arg, 97, "lr", seed=5) == ("lr", 5, 97)
+
+    with_constant = types.ModuleType("with_constant")
+    with_constant.CHUNK_QUERIES = 4096
+
+    def super_resolve(lr, seed=None):
+        if seed is None:
+            raise ValueError("no seed")
+        return lr, seed, with_constant.CHUNK_QUERIES
+
+    with_constant.super_resolve = super_resolve
+    assert fp.super_resolve_in_chunks(with_constant, 97, "lr", seed=5) == ("lr", 5, 97)
+    assert with_constant.CHUNK_QUERIES == 4096
+    with pytest.raises(ValueError):
+        fp.super_resolve_in_chunks(with_constant, 97, "lr")
+    assert with_constant.CHUNK_QUERIES == 4096
 
 
 def test_gradient_battery_catches_a_rounding_mutant(fp, monkeypatch):

@@ -231,7 +231,7 @@ class TestSuperResolve:
         np.testing.assert_array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
 
-    def test_identity_injector_chunked_latents_inverse_and_reassembly(self):
+    def test_identity_injector_chunked_latents_inverse_and_reassembly(self, monkeypatch):
         """A fresh micro model's zero head gives every query alpha = 1 and
         phi = 0, so this checks the chunked latents, the flow inverse and the
         reassembly, but not the conditioner, whose last bits depend on the
@@ -239,25 +239,28 @@ class TestSuperResolve:
         model = micro_model(seed=23)
         rng = np.random.default_rng(78)
         lr = Image(rng.random((5, 5, 3)))
-        a = super_resolve(lr, 2.0, 0.6, model, seed=7, chunk=4096)
-        b = super_resolve(lr, 2.0, 0.6, model, seed=7, chunk=13)
+        a = super_resolve(lr, 2.0, 0.6, model, seed=7)
+        monkeypatch.setattr(pipeline, "CHUNK_QUERIES", 13)
+        b = super_resolve(lr, 2.0, 0.6, model, seed=7)
         np.testing.assert_array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("tau,seed", [(0.0, None), (0.6, 8)])
-    def test_chunk_sizes_agree(self, tau, seed):
-        """chunk=4096 and chunk=num_patches make the same single pass and agree
-        bit for bit. chunk=7 hands BLAS 7-row GEMMs, and BLAS picks its
-        kernels by row count, which moves the last bits of some outputs; that
-        difference is bounded here."""
+    def test_chunk_sizes_agree(self, monkeypatch, tau, seed):
+        """Chunks of 4096 and of num_patches queries make the same single
+        pass and agree bit for bit. 7-query chunks hand BLAS 7-row GEMMs, and
+        BLAS picks its kernels by row count, which moves the last bits of some
+        outputs; that difference is bounded here."""
         model = micro_model(seed=28)
         head = model.params["implicit.head.w"]
         head.assign_(np.random.default_rng(84).normal(size=head.shape) * 0.1)
         lr = Image(np.random.default_rng(85).random((5, 6, 3)))
         num_patches = build_grid(ScaleSpec(2.2, 5, 6), 1).num_patches
-        small, whole, exact = (
-            super_resolve(lr, 2.2, tau, model, seed=seed, chunk=chunk).data
-            for chunk in (7, 4096, num_patches)
-        )
+
+        def run(chunk):
+            monkeypatch.setattr(pipeline, "CHUNK_QUERIES", chunk)
+            return super_resolve(lr, 2.2, tau, model, seed=seed).data
+
+        small, whole, exact = (run(chunk) for chunk in (7, 4096, num_patches))
         assert whole.tobytes() == exact.tobytes()
         np.testing.assert_allclose(small, whole, rtol=0.0, atol=1e-12)
 
@@ -272,7 +275,8 @@ class TestSuperResolve:
             return original(*args)
 
         monkeypatch.setattr(pipeline, "bank_maps", counting_bank_maps)
-        super_resolve(lr, 3.0, 0.5, model, seed=1, chunk=7)  # 225 patches, 33 chunks
+        monkeypatch.setattr(pipeline, "CHUNK_QUERIES", 7)
+        super_resolve(lr, 3.0, 0.5, model, seed=1)  # 225 patches, 33 chunks
         assert len(calls) == 1
 
     def test_unknown_ensemble_fails_before_any_work(self, monkeypatch):
@@ -297,10 +301,27 @@ class TestSuperResolve:
 
         original = pipeline.latents
         monkeypatch.setattr(pipeline, "latents", recording_latents)
-        super_resolve(lr, 2.0, 0.6, model, seed=9, chunk=chunk)
+        monkeypatch.setattr(pipeline, "CHUNK_QUERIES", chunk)
+        super_resolve(lr, 2.0, 0.6, model, seed=9)
         assert len(draws) == -(-num_patches // chunk)
         upfront = original(num_patches, 3, 0.6, np.random.default_rng(9))
         assert np.concatenate(draws).tobytes() == upfront.tobytes()
+
+    def test_default_chunks_hold_at_most_chunk_queries(self, monkeypatch):
+        model = micro_model(seed=32)
+        lr = Image(np.random.default_rng(88).random((48, 48, 3)))
+        sizes = []
+        original = pipeline.generate_texture_patches
+
+        def recording_generate(model, amap, fmap, centers, *rest):
+            sizes.append(centers.shape[0])
+            return original(model, amap, fmap, centers, *rest)
+
+        monkeypatch.setattr(pipeline, "generate_texture_patches", recording_generate)
+        super_resolve(lr, 4.0, 0.5, model, seed=3)  # 192 * 192 = 36864 patches
+        assert len(sizes) == -(-36864 // 4096) == 9
+        assert sum(sizes) == 36864
+        assert max(sizes) <= pipeline.CHUNK_QUERIES
 
     def test_tau0_leaves_the_generator_untouched(self, monkeypatch):
         model = micro_model(seed=31)
@@ -313,7 +334,8 @@ class TestSuperResolve:
 
         original = pipeline.latents
         monkeypatch.setattr(pipeline, "latents", recording_latents)
-        super_resolve(lr, 2.0, 0.0, model, seed=9, chunk=50)  # 120 patches, 3 chunks
+        monkeypatch.setattr(pipeline, "CHUNK_QUERIES", 50)
+        super_resolve(lr, 2.0, 0.0, model, seed=9)  # 120 patches, 3 chunks
         fresh = np.random.default_rng(9).bit_generator.state
         assert len(seen) == 3
         assert all(rng is seen[0][0] and state == fresh for rng, state in seen)
@@ -330,19 +352,19 @@ class TestSuperResolve:
             return original(cells, params)
 
         monkeypatch.setattr(pipeline, "phase_vector", counting_phase_vector)
-        super_resolve(lr, 3.0, 0.5, model, seed=1, chunk=7)  # 225 patches: 32 x 7, then 1
+        monkeypatch.setattr(pipeline, "CHUNK_QUERIES", 7)
+        super_resolve(lr, 3.0, 0.5, model, seed=1)  # 225 patches: 32 x 7, then 1
         assert sizes == [7, 1]
 
-    @pytest.mark.parametrize("s,tau,chunk", [
-        (float("nan"), 0.5, 64), (float("inf"), 0.5, 64), (-2.0, 0.5, 64),
-        (2.0, -1.0, 64), (2.0, float("nan"), 64), (2.0, float("inf"), 64),
-        (2.0, 0.5, 0), (2.0, 0.5, -3),
+    @pytest.mark.parametrize("s,tau", [
+        (float("nan"), 0.5), (float("inf"), 0.5), (-2.0, 0.5),
+        (2.0, -1.0), (2.0, float("nan")), (2.0, float("inf")),
     ])
-    def test_rejects_bad_scale_tau_or_chunk(self, s, tau, chunk):
+    def test_rejects_bad_scale_or_tau(self, s, tau):
         model = micro_model(seed=30)
         lr = Image(np.zeros((3, 3, 3)))
         with pytest.raises(UsageError):
-            super_resolve(lr, s, tau, model, seed=1, chunk=chunk)
+            super_resolve(lr, s, tau, model, seed=1)
 
     def test_scale_one_zero_texture_identity(self):
         model = micro_model(seed=24, flow_init_std=0.0)

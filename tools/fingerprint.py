@@ -13,8 +13,9 @@ once, BLAS on one thread each) importing `linf` from that side's `src/`:
   first one;
 - a micro model trained through a singular flow weight (the rejitter path);
 - `super_resolve` at `tau=0` and seeded `tau=0.6`, for both ensembles, both
-  weightings, patch sides 1 and 3 and chunks 4096 and 97, on a 19x23 and a
-  90x77 input;
+  weightings, patch sides 1 and 3 and chunks of 4096 and 97 queries, on a
+  19x23 and a 90x77 input (a tree whose `super_resolve` takes a `chunk`
+  argument gets it; otherwise `pipeline.CHUNK_QUERIES` is set for the call);
 - the CSV of `linf sweep` over the toy corpus at x2, `tau` 0 and 0.5, two
   samples, for both ensembles;
 - the detail strings of `linf verify --level full`.
@@ -33,6 +34,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -174,11 +176,24 @@ def battery_training(record: Record, configs: Path, tmp: Path) -> None:
         record(f"rejitter/param/{name}", p.data)
 
 
+def super_resolve_in_chunks(pipeline, chunk: int, *args, **kwargs):
+    """`pipeline.super_resolve(*args, **kwargs)` in chunks of `chunk` queries:
+    through its `chunk` argument where it has one, otherwise with
+    `pipeline.CHUNK_QUERIES` set to `chunk` for the call."""
+    if "chunk" in inspect.signature(pipeline.super_resolve).parameters:
+        return pipeline.super_resolve(*args, chunk=chunk, **kwargs)
+    saved, pipeline.CHUNK_QUERIES = pipeline.CHUNK_QUERIES, chunk
+    try:
+        return pipeline.super_resolve(*args, **kwargs)
+    finally:
+        pipeline.CHUNK_QUERIES = saved
+
+
 def battery_sr(record: Record, configs: Path) -> None:
+    from linf import pipeline
     from linf.config import load_config
     from linf.corpus import toy_corpus
     from linf.imaging import bicubic_resample
-    from linf.pipeline import super_resolve
 
     hr = toy_corpus(1, 180, seed=9)[0]
     inputs = {"19x23": (bicubic_resample(hr, 19, 23), 3.1),
@@ -192,8 +207,8 @@ def battery_sr(record: Record, configs: Path) -> None:
                 for ensemble in ("fourier", "local"):
                     for tau, seed in ((0.0, None), (0.6, 13)):
                         for chunk in (4096, 97):
-                            out = super_resolve(lr, scale, tau, model, ensemble=ensemble,
-                                                chunk=chunk, seed=seed)
+                            out = super_resolve_in_chunks(pipeline, chunk, lr, scale, tau,
+                                                          model, ensemble=ensemble, seed=seed)
                             record(f"sr/{name}/{weighting}/{size}/{ensemble}/tau{tau}/"
                                    f"chunk{chunk}", out.data)
 
