@@ -61,12 +61,16 @@ def _load_corpus(data_cfg: DataConfig) -> list[Image]:
     return _read_image_dir(data_cfg.corpus)
 
 
-def _read_image_dir(path: str) -> list[Image]:
+def _image_files(path: str) -> list[str]:
     patterns = ("*.ppm", "*.png")
     files = sorted(f for pat in patterns for f in glob.glob(os.path.join(path, pat)))
     if not files:
         raise ConfigError(f"no .ppm/.png images found in {path!r}")
-    return [read_image(f) for f in files]
+    return files
+
+
+def _read_image_dir(path: str) -> list[Image]:
+    return [read_image(f) for f in _image_files(path)]
 
 
 def cmd_train(args) -> int:
@@ -177,8 +181,18 @@ def cmd_sweep(args) -> int:
     _check_seed(args.seed)
     if args.out:
         check_writable(args.out, "csv")
-    corpus = toy_corpus(8, 48) if args.corpus == "toy" else _read_image_dir(args.corpus)
+    if args.corpus == "toy":
+        corpus = toy_corpus(8, 48)
+        names = [f"toy image {i}" for i in range(len(corpus))]
+    else:
+        names = _image_files(args.corpus)
+        corpus = [read_image(f) for f in names]
     specs = [_pair_spec(hr, args.scale) for hr in corpus]
+    for name, hr, spec in zip(names, corpus, specs):
+        if spec.target_height > hr.height or spec.target_width > hr.width:
+            raise UsageError(
+                f"corpus image {name} is {hr.height}x{hr.width}, smaller than its "
+                f"{spec.target_height}x{spec.target_width} target at scale {args.scale:g}")
     ckpt = load_checkpoint(args.model)
     model = ckpt.model
     _print_banner(

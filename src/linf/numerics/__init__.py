@@ -22,6 +22,7 @@ from .tensor import (
     exp,
     fourier_gather,
     index_rows,
+    lazy_conditioner_head,
     logabsdet,
     matmul,
     mul,
@@ -55,6 +56,7 @@ __all__ = [
     "fourier_gather",
     "grad_rel_error",
     "index_rows",
+    "lazy_conditioner_head",
     "logabsdet",
     "lu_factor",
     "matmul",

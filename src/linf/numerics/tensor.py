@@ -11,6 +11,7 @@ reads pass counts and kink margins out of whatever runs inside it.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -41,8 +42,8 @@ class Probe:
     """What ran inside a probe() block: per-query pass counts by name (a
     batched pass over Q rows counts Q), and, for a probe opened with
     margins=True, the smallest distance of any kinked op's input (relu in
-    affine and conv2d, absolute, and the clamp in conditioner_head) from its
-    kink; inf when no margin was read."""
+    affine and conv2d, absolute, and the clamp in conditioner_head and
+    lazy_conditioner_head) from its kink; inf when no margin was read."""
 
     passes: dict[str, int] = field(default_factory=dict)
     kink_margin: float = np.inf
@@ -339,10 +340,12 @@ def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
     rows = idx.reshape(-1)
     dy, dx = delta[:, :, 0:1], delta[:, :, 1:2]
     # each temporary is freed before the next buffer is allocated, so the
-    # allocator can hand its pages on instead of faulting in fresh ones
-    theta = np.take(freq.data[:, 0::2], rows, axis=0).reshape(q, n, k)
+    # allocator can hand its pages on instead of faulting in fresh ones;
+    # indexing gathers the rows of a strided column half directly, where
+    # np.take would first copy the whole half table
+    theta = freq.data[rows, 0::2].reshape(q, n, k)
     theta *= dy
-    fx_dx = np.take(freq.data[:, 1::2], rows, axis=0).reshape(q, n, k)
+    fx_dx = freq.data[rows, 1::2].reshape(q, n, k)
     fx_dx *= dx
     theta += fx_dx
     del fx_dx
@@ -465,6 +468,42 @@ def conditioner_head(head, layers: int, dim: int, bound: float
 
     outs = _make((*logdet, *alpha, *(blocks[:, k, 1] for k in range(layers))), (head,), bwd)
     return list(outs[:layers]), list(outs[layers : 2 * layers]), list(outs[2 * layers :])
+
+
+class _PerLayer(Sequence):
+    """`layers` tensors; tensor k is made by make(k) each time it is read."""
+
+    def __init__(self, layers: int, make: Callable[[int], np.ndarray]):
+        self._layers = range(layers)
+        self._make = make
+
+    def __len__(self) -> int:
+        return len(self._layers)
+
+    def __getitem__(self, k: int) -> Tensor:
+        return Tensor(self._make(self._layers[k]))
+
+
+def lazy_conditioner_head(head: np.ndarray, layers: int, dim: int, bound: float
+                          ) -> tuple[Sequence[Tensor], Sequence[Tensor], list[Tensor]]:
+    """Untaped conditioner_head: the same (logdet, alpha, phi) bits, but
+    logdet_k and alpha_k are computed from the head's pre_k block each time
+    one is read, so no [layers, Q, dim] buffer exists and no row sum is
+    formed unless a reader asks for it (the flow's inverse reads alpha only).
+    Each phi_k is a view of the head. A probe reads the clamp's kink margin
+    once, over all pre blocks, here."""
+    blocks = head.reshape(head.shape[0], layers, 2, dim)
+    _kink_margin(blocks[:, :, 0], -bound, bound)
+
+    def logdet(k: int) -> np.ndarray:
+        return np.clip(blocks[:, k, 0], -bound, bound).sum(axis=1)
+
+    def alpha(k: int) -> np.ndarray:
+        pre = np.clip(blocks[:, k, 0], -bound, bound)
+        return np.exp(pre, out=pre)
+
+    return (_PerLayer(layers, logdet), _PerLayer(layers, alpha),
+            [Tensor(blocks[:, k, 1]) for k in range(layers)])
 
 
 # -- structure ops ----------------------------------------------------------------

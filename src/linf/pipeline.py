@@ -20,10 +20,9 @@ from .errors import UsageError
 from .flow import check_tau, latents
 from .imaging import Image, bilinear_upsample
 from .implicit import (
-    conditioner,
     bank_maps,
     condition,
-    ensemble_features,
+    condition_rows,
     neighborhood_geometry,
     phase_vector,
 )
@@ -184,30 +183,38 @@ def generate_texture_patches(
     fmap: nm.Tensor,
     centers: np.ndarray,
     phases: nm.Tensor,
-    z: np.ndarray,
+    tau: float,
+    rng: np.random.Generator,
     ensemble: str = ENSEMBLE_FOURIER,
 ) -> np.ndarray:
     """Run conditioner + flow inverse for a block of queries; returns [Q, D].
 
     amap/fmap are the image's bank maps [H, W, 2K] and phases is [Q, K]
-    (`phase_vector` of the queries' cells)."""
+    (`phase_vector` of the queries' cells). The block's latents are drawn
+    from `rng` with std tau after its (first) condition, so they never
+    coexist with its features or trunk buffer."""
+    def draw() -> nm.Tensor:
+        return nm.tensor(latents(centers.shape[0], model.cfg.patch_dim, tau, rng))
+
     if ensemble == ENSEMBLE_FOURIER:
         cond = condition(model, amap, fmap, centers, phases)
-        return model.flow.inverse(nm.tensor(z), cond).data
+        return model.flow.inverse(draw(), cond).data
     if ensemble == ENSEMBLE_LOCAL:
         rows, delta, weights = neighborhood_geometry(*amap.shape[:2], centers)
         amap_flat, fmap_flat = (m.reshape(-1, m.shape[-1]) for m in (amap, fmap))
         out = np.zeros((centers.shape[0], model.cfg.patch_dim))
+        z = None
         for nb in range(4):
             # as if neighbour nb were the whole neighbourhood: every slot
             # carries its features (with its own relative coordinate)
-            cond_nb = conditioner(ensemble_features(
-                amap_flat, fmap_flat, phases,
+            cond_nb = condition_rows(
+                model, amap_flat, fmap_flat, phases,
                 np.repeat(rows[:, nb : nb + 1], 4, axis=1),
                 np.repeat(delta[:, nb : nb + 1], 4, axis=1),
-                weights, model.cfg.ensemble_weighting,
-            ), model)
-            out += weights[:, nb : nb + 1] * model.flow.inverse(nm.tensor(z), cond_nb).data
+                weights,
+            )
+            z = draw() if z is None else z
+            out += weights[:, nb : nb + 1] * model.flow.inverse(z, cond_nb).data
         return out
     raise UsageError(f"unknown ensemble mode {ensemble!r}")
 
@@ -228,10 +235,10 @@ def super_resolve(
 
     Per image: the encoder and the bank maps, the texture patches, and at
     the end the bilinear base, to which the texture is added and which is
-    clipped in place. Per chunk of CHUNK_QUERIES queries: its patch centers
-    and latents, the condition (`implicit.condition`) and the flow inverse.
-    Phases depend only on the chunk size, so they are computed again only
-    for a shorter last chunk.
+    clipped in place. Per chunk of CHUNK_QUERIES queries: its patch centers,
+    the condition (`implicit.condition_rows`, banded and inverse-only), then
+    its latents and the flow inverse. Phases depend only on the chunk size,
+    so they are computed again only for a shorter last chunk.
     """
     spec = ScaleSpec(s, lr.height, lr.width)
     check_tau(tau)
@@ -253,7 +260,8 @@ def super_resolve(
             fmap,
             grid.centers(start, stop),
             phases,
-            latents(stop - start, d, tau, rng),
+            tau,
+            rng,
             ensemble,
         )
     del amap, fmap

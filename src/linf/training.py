@@ -228,7 +228,8 @@ def train(
     """Run (or continue) the optimization loop.
 
     Checkpoints are written at every epoch boundary and at the end; the
-    training log is `train_log.csv` under out_dir. Replaying with the same
+    training log is `train_log.csv` under out_dir, flushed to disk before
+    each checkpoint is written. Replaying with the same
     seed and config is bit-exact, as is resuming from any checkpoint.
     Passing `model` starts from existing parameters (fine-tuning).
 
@@ -283,6 +284,10 @@ def train(
     def checkpoint(name: str, step: int, epoch: int) -> str:
         path = os.path.join(out_dir, name)
         try:
+            # the log on disk covers every checkpoint on disk, so a resume
+            # after a crash finds the rows up to the checkpoint's step
+            log_fh.flush()
+            os.fsync(log_fh.fileno())
             save_checkpoint(path, model, cfg, step, epoch, rng, adam)
         except OSError as exc:
             raise UsageError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
@@ -476,6 +481,8 @@ def _read_records(reader: _Reader) -> dict[str, np.ndarray]:
             arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
         except ValueError as exc:  # rank or extents numpy cannot represent
             raise reader.fail(f"bad shape for {name!r}: {exc}", start) from exc
+        if not np.isfinite(arr).all():
+            raise reader.fail(f"tensor {name!r} holds a non-finite value", offset)
         tensors[name] = arr.astype(np.float64)
     if reader.pos != len(blob):
         raise reader.fail(f"{len(blob) - reader.pos} trailing bytes after the last record")
@@ -483,7 +490,8 @@ def _read_records(reader: _Reader) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; any malformed or mismatched content raises ConfigError."""
+    """Read a checkpoint; any malformed or mismatched content, a non-finite
+    value in any record included, raises ConfigError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()

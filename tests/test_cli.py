@@ -487,6 +487,27 @@ class TestSrCommand:
         assert err.startswith("error: ") and "damaged.linf" in err
         assert not (tmp_path / "o.ppm").exists()
 
+    @pytest.mark.parametrize("record,value", [
+        ("implicit.trunk.w2", np.nan), ("flow.2.w", -np.inf), ("encoder.head.b", np.inf),
+    ])
+    def test_non_finite_checkpoint_record_exit2(self, tmp_path, capsys, record, value):
+        """A checkpoint whose records hold a NaN or an infinity fails at the
+        load, naming the record, not after the image has run."""
+        inp = self._write_input(tmp_path)
+        model = Model.create(micro_config(), seed=0)
+        data = model.params[record].data.copy()
+        data.reshape(-1)[data.size // 2] = value
+        model.params[record].assign_(data)
+        path = tmp_path / "nonfinite.linf"
+        save_checkpoint(str(path), model, TrainConfig(), 0, 0, np.random.default_rng(0))
+        code = main(["sr", inp, "--model", str(path), "--scale", "2",
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: tensor {record!r} holds a non-finite value")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.ppm").exists()
+
     @pytest.mark.parametrize("case", ["missing-input", "directory-input", "missing-out-dir"])
     def test_image_io_error_exit2(self, micro_checkpoint, tmp_path, capsys, case):
         inp = self._write_input(tmp_path)
@@ -599,6 +620,28 @@ class TestSweepCommand:
         code = main(["sweep", "--model", micro_checkpoint, "--corpus", str(empty),
                      "--scale", "2", "--taus", "0"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("side", [1, 3])
+    def test_image_below_its_target_exit2_before_loading(
+        self, micro_checkpoint, tmp_path, capsys, monkeypatch, side
+    ):
+        """At x2 an LR side is at least 2, so a 1- or 3-pixel side is below
+        its 4-pixel target."""
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("called before the corpus was checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_run)
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        write_image(toy_corpus(1, 24, seed=3)[0], str(corpus_dir / "a.ppm"))
+        small = corpus_dir / "b.ppm"
+        write_image(Image(np.full((side, 6, 3), 0.5)), str(small))
+        code = main(["sweep", "--model", micro_checkpoint, "--corpus", str(corpus_dir),
+                     "--scale", "2", "--taus", "0"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: corpus image {small} is {side}x6, smaller than its 4x6 "
+                       "target at scale 2\n")
 
     @pytest.mark.parametrize("bad", [
         ["--samples", "0", "--taus", "0.5"],

@@ -1,6 +1,7 @@
 """Conditioner mechanism against scalar-transcription and closed-form oracles."""
 
 import dataclasses
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -470,6 +471,42 @@ class TestConditionerHead:
         assert len({id(t.data.base) for t in alpha}) == 1
         assert len({id(t.data.base) for t in logdet}) == 1
 
+    @pytest.mark.parametrize("dim", [3, 27])
+    def test_lazy_head_bit_identical(self, monkeypatch, dim):
+        """lazy_conditioner_head gives conditioner_head's bits, signs of zero
+        and kink margin; it reads the margin once, over all pre blocks, and
+        makes a layer's alpha or log-det only when it is read."""
+        head = self._head(dim)
+        with nm.probe(margins=True) as eager_probe:
+            eager = nm.conditioner_head(nm.tensor(head), self.LAYERS, dim, ALPHA_CLAMP)
+        tensor_module = importlib.import_module("linf.numerics.tensor")
+        margins = []
+        original = tensor_module._kink_margin
+
+        def counting(x, *kinks):
+            margins.append(x.shape)
+            original(x, *kinks)
+
+        monkeypatch.setattr(tensor_module, "_kink_margin", counting)
+        with nm.probe(margins=True) as lazy_probe:
+            lazy = nm.lazy_conditioner_head(head, self.LAYERS, dim, ALPHA_CLAMP)
+        assert margins == [(self.Q, self.LAYERS, dim)]
+        assert lazy_probe.kink_margin == eager_probe.kink_margin == 0.0
+        assert all(np.shares_memory(t.data, head) for t in lazy[2])
+        for got, want in zip(lazy, eager):
+            assert len(got) == len(want) == self.LAYERS
+            for k in range(self.LAYERS):
+                np.testing.assert_array_equal(_bits(got[k].data), _bits(want[k].data))
+        assert lazy[1][0].data is not lazy[1][0].data  # computed again at each read
+        assert not np.shares_memory(lazy[1][1].data, head)
+        with pytest.raises(IndexError):
+            lazy[1][self.LAYERS]
+        assert margins == [(self.Q, self.LAYERS, dim)]
+        # without a margin probe no margin is computed
+        with nm.probe() as plain:
+            nm.lazy_conditioner_head(head, self.LAYERS, dim, ALPHA_CLAMP)
+        assert plain.kink_margin == np.inf
+
     @pytest.mark.parametrize("stage", [1, 2])
     @pytest.mark.parametrize("patch_side", [1, 3])
     def test_loss_gradients_bit_identical_to_chain(self, monkeypatch, stage, patch_side):
@@ -505,9 +542,11 @@ class TestConditionerHead:
 
 
 class TestBandedTrunk:
-    """Without a tape the conditioner runs its trunk in row bands; under a
-    tape each trunk layer is one call. Both give the same bits, kink margin
-    and pass counts, for whole, partial and single bands."""
+    """Without a tape `condition_rows` gathers the features and runs the
+    trunk in row bands, and reads each layer's alpha and log-det off the
+    head output when asked; under a tape it is the taped `conditioner` over
+    one whole gather. Both give the same bits, kink margin and pass counts,
+    for whole, partial and single bands."""
 
     @staticmethod
     def _model(name):
@@ -524,24 +563,64 @@ class TestBandedTrunk:
 
     @pytest.mark.parametrize("name", ["desk", "patch3", "micro"])
     def test_banded_equals_taped(self, name):
+        """Both ensembles' neighbourhoods (the Fourier one, and the local
+        loop's one neighbour in every slot), both weightings; desk and
+        micro have patch side 1, patch3 side 3."""
         model = self._model(name)
         rng = np.random.default_rng(76)
+        k2 = 2 * model.cfg.frequencies
+        amap, fmap = (nm.tensor(rng.standard_normal((7 * 9, k2))) for _ in range(2))
         # 4096 and 1168 span several bands, 1168 ends in a partial one, 513
         # ends one row past a band and 97 and 1 fit in one
         assert 97 < implicit.TRUNK_BAND_ROWS <= 1168 // 2
         for q in (4096, 1168, 513, 97, 1):
-            kappa = rng.standard_normal((q, model.params["implicit.trunk.w1"].shape[0]))
-            with nm.probe(margins=True) as banded_probe:
-                banded = conditioner(nm.tensor(kappa), model)
-            with nm.probe(margins=True) as taped_probe, nm.GradTape() as tape:
-                taped = conditioner(nm.tensor(kappa, requires_grad=True), model)
-            assert len(tape) == 4  # three affine records and the head op
-            for part in ("alpha", "phi", "logdet"):
-                for got, want in zip(getattr(banded, part), getattr(taped, part)):
-                    np.testing.assert_array_equal(_bits(got.data), _bits(want.data),
-                                                  err_msg=f"{name} Q={q} {part}")
-            assert banded_probe.kink_margin == taped_probe.kink_margin
-            assert banded_probe.passes == taped_probe.passes == {"conditioner": q}
+            rows, delta, weights = neighborhood_geometry(7, 9, rng.uniform(-1, 1, size=(q, 2)))
+            phases = phase_vector(rng.uniform(0.2, 2.0, size=q), model)
+            local = (np.repeat(rows[:, 2:3], 4, axis=1), np.repeat(delta[:, 2:3], 4, axis=1))
+            for weighting in (implicit.WEIGHTING_FULL, implicit.WEIGHTING_NONE):
+                model.cfg.ensemble_weighting = weighting
+                for ensemble, (r, dl) in (("fourier", (rows, delta)), ("local", local)):
+                    args = (model, amap, fmap, phases, r, dl, weights)
+                    with nm.probe(margins=True) as banded_probe:
+                        banded = implicit.condition_rows(*args)
+                    with nm.probe(margins=True) as taped_probe, nm.GradTape() as tape:
+                        taped = implicit.condition_rows(*args)
+                    assert len(tape) == 4  # three affine records and the head op
+                    where = f"{name} Q={q} {weighting} {ensemble}"
+                    for part in ("alpha", "phi", "logdet"):
+                        got, want = getattr(banded, part), getattr(taped, part)
+                        assert len(got) == len(want) == model.cfg.flow_layers
+                        for k in range(model.cfg.flow_layers):
+                            np.testing.assert_array_equal(
+                                _bits(got[k].data), _bits(want[k].data), err_msg=f"{where} {part}")
+                    assert banded_probe.kink_margin == taped_probe.kink_margin < np.inf
+                    assert banded_probe.passes == taped_probe.passes == {"conditioner": q}
+
+    def test_no_whole_features_without_a_tape(self, monkeypatch):
+        """The untaped gather never sees more than TRUNK_BAND_ROWS rows, and
+        the taped conditioner is not called."""
+        model = self._model("micro")
+        rng = np.random.default_rng(77)
+        amap, fmap = (nm.tensor(rng.standard_normal((20, 8))) for _ in range(2))
+        q = 3 * implicit.TRUNK_BAND_ROWS + 1
+        rows, delta, weights = neighborhood_geometry(4, 5, rng.uniform(-1, 1, size=(q, 2)))
+        gathered = []
+        original = implicit.ensemble_features
+
+        def recording(*args):
+            gathered.append(args[3].shape[0])
+            return original(*args)
+
+        def must_not_run(*args):
+            raise AssertionError("the taped conditioner ran without a tape")
+
+        monkeypatch.setattr(implicit, "ensemble_features", recording)
+        monkeypatch.setattr(implicit, "conditioner", must_not_run)
+        cond = implicit.condition_rows(model, amap, fmap, phase_vector(np.ones(q), model),
+                                       rows, delta, weights)
+        b = implicit.TRUNK_BAND_ROWS
+        assert gathered == [b, b, b + 1]  # a last band of one row joins the one before
+        assert cond.phi[0].shape == (q, model.cfg.patch_dim)
 
     @pytest.mark.parametrize("stage, records", [(1, 106), (2, 152)])
     def test_desk_step_tape_records(self, stage, records):

@@ -264,6 +264,32 @@ class TestSuperResolve:
         assert whole.tobytes() == exact.tobytes()
         np.testing.assert_allclose(small, whole, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("chunk", [4096, 97])
+    @pytest.mark.parametrize("tau,seed", [(0.0, None), (0.6, 8)])
+    @pytest.mark.parametrize("patch_side", [1, 3])
+    @pytest.mark.parametrize("ensemble", [pipeline.ENSEMBLE_FOURIER, ENSEMBLE_LOCAL])
+    @pytest.mark.parametrize("weighting", ["full", "none"])
+    def test_inverse_only_condition_equals_taped(self, monkeypatch, chunk, tau, seed,
+                                                 patch_side, ensemble, weighting):
+        """sr's untaped condition (banded gather and trunk, alpha read per
+        layer, no log-det sums) gives the bits, pass counts and kink margin
+        of the same call under a tape, which runs the taped conditioner on
+        each chunk's whole features. Both images span two trunk bands."""
+        model = micro_model(seed=36, patch_side=patch_side, ensemble_weighting=weighting)
+        rng = np.random.default_rng(89)
+        for t in model.params.values():
+            t.assign_(t.data + 0.1 * rng.standard_normal(t.shape))
+        lr = Image(rng.random((12, 13, 3)))
+        s = 2.5 if patch_side == 1 else 6.5  # 990 and 754 patches
+        monkeypatch.setattr(pipeline, "CHUNK_QUERIES", chunk)
+        with nm.probe(margins=True) as plain_probe:
+            plain = super_resolve(lr, s, tau, model, ensemble=ensemble, seed=seed)
+        with nm.probe(margins=True) as taped_probe, nm.GradTape():
+            taped = super_resolve(lr, s, tau, model, ensemble=ensemble, seed=seed)
+        assert plain.data.tobytes() == taped.data.tobytes()
+        assert plain_probe.passes == taped_probe.passes
+        assert plain_probe.kink_margin == taped_probe.kink_margin < np.inf
+
     def test_bank_maps_once_per_image(self, monkeypatch):
         model = micro_model(seed=29)
         lr = Image(np.random.default_rng(86).random((5, 5, 3)))
@@ -306,6 +332,29 @@ class TestSuperResolve:
         assert len(draws) == -(-num_patches // chunk)
         upfront = original(num_patches, 3, 0.6, np.random.default_rng(9))
         assert np.concatenate(draws).tobytes() == upfront.tobytes()
+
+    @pytest.mark.parametrize("ensemble,per_chunk", [
+        (pipeline.ENSEMBLE_FOURIER, ["condition", "latents"]),
+        (ENSEMBLE_LOCAL, ["condition", "latents"] + ["condition"] * 3),
+    ])
+    def test_latents_drawn_after_each_condition(self, monkeypatch, ensemble, per_chunk):
+        """A chunk's latents never coexist with its features or trunk."""
+        model = micro_model(seed=31)
+        lr = Image(np.random.default_rng(87).random((5, 6, 3)))
+        events = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("condition", "condition_rows", "latents"):
+            label = "latents" if name == "latents" else "condition"
+            monkeypatch.setattr(pipeline, name, recording(label, getattr(pipeline, name)))
+        monkeypatch.setattr(pipeline, "CHUNK_QUERIES", 50)
+        super_resolve(lr, 2.0, 0.6, model, ensemble=ensemble, seed=9)  # 120 patches, 3 chunks
+        assert events == 3 * per_chunk
 
     def test_default_chunks_hold_at_most_chunk_queries(self, monkeypatch):
         model = micro_model(seed=32)
@@ -419,66 +468,62 @@ class TestSuperResolve:
         lr = Image(rng.random((5, 5, 3)))
         banks = bank_maps(encode_batch(nm.tensor(lr.data), model), model)
         center = np.array([[pixel_centers(5)[2], pixel_centers(5)[1]]])
-        z = 0.5 * rng.standard_normal((1, model.cfg.patch_dim))
         phases = phase_vector(np.ones(1), model)  # cell 1.0
-        a = generate_texture_patches(model, *banks, center, phases, z)
+        # both draw the same latent row from equally seeded generators
+        a = generate_texture_patches(model, *banks, center, phases, 0.5,
+                                     np.random.default_rng(83))
         b = generate_texture_patches(
-            model, *banks, center, phases, z, ensemble=ENSEMBLE_LOCAL
+            model, *banks, center, phases, 0.5, np.random.default_rng(83),
+            ensemble=ENSEMBLE_LOCAL,
         )
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_patch3_working_set_bound(self):
-        """Traced peak of a two-chunk patch3 super_resolve: one chunk's head
-        output and alpha buffer, the image-level arrays, and slack for the
-        trunk, phases, latents and the flow inverse's temporaries. Holding a
-        second [L, Q, D] buffer of clipped pre-activations, as a head that
-        returns them does, exceeds it."""
-        cfg, _, _ = load_config(str(CONFIG_DIR / "patch3.cfg"))
-        model = Model.create(cfg, seed=0)
-        lr = toy_corpus(1, 72, seed=1)[0]
-        grid = build_grid(ScaleSpec(2.7, 72, 72), cfg.patch_side)
-        assert 4096 < grid.num_patches <= 2 * 4096
-        q, d, layers = 4096, cfg.patch_dim, cfg.flow_layers
-        head_bytes = q * 2 * d * layers * 8
-        alpha_bytes = q * d * layers * 8
-        image_bytes = (2 * 72 * 72 * 2 * cfg.frequencies + grid.num_patches * d) * 8
-        slack = 8 * 2**20
-        tracemalloc.start()
-        try:
-            super_resolve(lr, 2.7, 0.0, model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= head_bytes + alpha_bytes + image_bytes + slack
-
-    def test_desk_working_set_bound(self):
-        """Traced peak of a nine-chunk desk x4 super_resolve: one chunk's
-        [Q, trunk_width] trunk buffer, head output and alpha buffer, the
-        image-level arrays (bank maps, patch table, the output raster and the
-        bilinear base), and 3.25 MiB of slack. The slack covers what the
-        trunk's row bands hold beyond the head and alpha buffers, which they
-        never coexist with: the [Q, 8K] features (4 MiB) and one band's
-        first-layer output. Holding both full [Q, trunk_width] trunk layers
-        at once, as an unbanded trunk does, exceeds it by about 1.5 MiB."""
-        cfg, _, _ = load_config(str(CONFIG_DIR / "desk.cfg"))
-        model = Model.create(cfg, seed=0)
-        lr = toy_corpus(1, 48, seed=1)[0]
-        grid = build_grid(ScaleSpec(4.0, 48, 48), cfg.patch_side)
-        assert grid.num_patches == 9 * 4096
+    @staticmethod
+    def _working_set_bound(cfg, side, s):
+        """One 4096-query chunk's [Q, trunk_width] trunk buffer and head
+        output, which the head GEMM holds at once, plus the image-level
+        arrays: the bank maps, the patch table, the output raster and the
+        bilinear base. No slack: the two rasters exist only after the last
+        chunk, and their bytes cover what a chunk holds beside the trunk and
+        the head (its phases, centers and neighbourhood geometry)."""
+        grid = build_grid(ScaleSpec(s, side, side), cfg.patch_side)
         q, d, layers = 4096, cfg.patch_dim, cfg.flow_layers
         trunk_bytes = q * cfg.trunk_width * 8
         head_bytes = q * 2 * d * layers * 8
-        alpha_bytes = q * d * layers * 8
-        image_bytes = (2 * 48 * 48 * 2 * cfg.frequencies + grid.num_patches * d
-                       + 2 * 192 * 192 * 3) * 8
-        slack = 3.25 * 2**20
+        image_bytes = (2 * side * side * 2 * cfg.frequencies + grid.num_patches * d
+                       + 2 * grid.target_height * grid.target_width * 3) * 8
+        return grid, trunk_bytes + head_bytes + image_bytes
+
+    @staticmethod
+    def _traced_peak(*args, **kwargs):
         tracemalloc.start()
         try:
-            super_resolve(lr, 4.0, 0.5, model, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            super_resolve(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= trunk_bytes + head_bytes + alpha_bytes + image_bytes + slack
+
+    def test_patch3_working_set_bound(self):
+        """Traced peak of a two-chunk patch3 super_resolve within
+        _working_set_bound. Holding an [L, Q, D] alpha buffer beside the head
+        output (8.4 MiB), or a chunk's [Q, D] latents during its condition
+        (0.8 MiB), exceeds it."""
+        cfg, _, _ = load_config(str(CONFIG_DIR / "patch3.cfg"))
+        grid, bound = self._working_set_bound(cfg, 72, 2.7)
+        assert 4096 < grid.num_patches <= 2 * 4096
+        lr = toy_corpus(1, 72, seed=1)[0]
+        assert self._traced_peak(lr, 2.7, 0.0, Model.create(cfg, seed=0)) <= bound
+
+    def test_desk_working_set_bound(self):
+        """Traced peak of a nine-chunk desk x4 super_resolve within
+        _working_set_bound. Holding a chunk's whole [Q, 8K] features (4 MiB)
+        beside its trunk buffer, or both full [Q, trunk_width] trunk layers
+        at once, exceeds it."""
+        cfg, _, _ = load_config(str(CONFIG_DIR / "desk.cfg"))
+        grid, bound = self._working_set_bound(cfg, 48, 4.0)
+        assert grid.num_patches == 9 * 4096
+        lr = toy_corpus(1, 48, seed=1)[0]
+        assert self._traced_peak(lr, 4.0, 0.5, Model.create(cfg, seed=0), seed=1) <= bound
 
     def test_local_and_fourier_agree_on_1x1_map(self):
         # a 1x1 feature map makes all four neighborhoods identical

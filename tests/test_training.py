@@ -4,11 +4,15 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import linf
 from linf import numerics as nm
 from linf import training
 from linf.corpus import toy_corpus
@@ -25,6 +29,34 @@ from linf.training import (
 )
 
 from .helpers import micro_config, with_header
+
+
+SRC = Path(linf.__file__).resolve().parents[1]
+
+# trains with `save_checkpoint` patched to end the process at once, without
+# any cleanup, right after ckpt_epoch001.linf is written; argv: out_dir and
+# the JSON of the toy corpus arguments, the train config and the model config
+_CRASH_AFTER_FIRST_CHECKPOINT = r"""
+import json, os, sys
+from linf import training
+from linf.corpus import toy_corpus
+from linf.model import ModelConfig
+
+original = training.save_checkpoint
+
+
+def save_then_crash(path, *args, **kwargs):
+    original(path, *args, **kwargs)
+    if path.endswith("ckpt_epoch001.linf"):
+        os._exit(0)
+
+
+training.save_checkpoint = save_then_crash
+out_dir, corpus, cfg, model_cfg = sys.argv[1], *map(json.loads, sys.argv[2:])
+training.train(toy_corpus(*corpus), training.TrainConfig.from_dict(cfg),
+               ModelConfig.from_dict(model_cfg), out_dir=out_dir)
+sys.exit("the run went on past its first checkpoint")
+"""
 
 
 def tiny_train_cfg(**overrides) -> TrainConfig:
@@ -242,6 +274,29 @@ class TestTrainLoop:
             full.model.parameters().items(), resumed.model.parameters().values()
         ):
             np.testing.assert_array_equal(pf.data, pr.data, err_msg=k)
+
+    def test_log_written_before_a_crash_resumes_exactly(self, tmp_path):
+        """A run ended by os._exit right after its first checkpoint leaves
+        the log rows that checkpoint covers; resuming in the same directory
+        then gives the log and final checkpoint bytes of an uninterrupted
+        run."""
+        corpus_args = (4, 32, 16)
+        cfg = tiny_train_cfg(steps=20, steps_per_epoch=10)
+        full = tmp_path / "full"
+        train(toy_corpus(*corpus_args), cfg, micro_config(), out_dir=str(full))
+        run = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-c", _CRASH_AFTER_FIRST_CHECKPOINT, str(run),
+             json.dumps(corpus_args), json.dumps(cfg.to_dict()),
+             json.dumps(micro_config().to_dict())],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert sorted(os.listdir(run)) == ["ckpt_epoch001.linf", "train_log.csv"]
+        train(toy_corpus(*corpus_args), cfg, None, out_dir=str(run),
+              resume=str(run / "ckpt_epoch001.linf"))
+        for name in ("train_log.csv", "ckpt_final.linf"):
+            assert (run / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_resume_truncates_log_to_checkpoint_step(self, tmp_path):
         corpus = toy_corpus(4, 32, seed=16)
