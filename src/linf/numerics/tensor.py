@@ -89,9 +89,10 @@ def _relu_in_place(out: np.ndarray) -> None:
     np.maximum(out, 0.0, out=out)
 
 
-def _relu_mask(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """g masked by a fused relu's output: the gradient through the clip."""
-    return g * (out > 0.0)
+def _relu_mask_in_place(g: np.ndarray, out: np.ndarray) -> None:
+    """Mask g, a gradient the backward owns, by a fused relu's output in
+    place: the gradient through the clip, with g * (out > 0.0)'s bits."""
+    np.multiply(g, out > 0.0, out=g)
 
 
 class Tensor:
@@ -150,6 +151,16 @@ class GradTape:
     that received none. Each record is released as soon as the sweep has
     passed it, so a tape runs backward once; the record count (len) stays
     as it was.
+
+    Gradient ownership: every gradient a backward receives is held by it
+    alone, so it may overwrite it (the relu-fused ops mask it in place).
+    A backward therefore returns arrays that nothing else holds (new ones,
+    or the gradients it received, or views of either), and must not return
+    one array, or overlapping views of one array, for two parents; the tape
+    itself copies an array returned for two parents (add's pass-through)
+    for the second one. The sweep drops its reference to an op's output
+    before calling that op's backward, so a backward that drops its own
+    once read frees the output's memory.
     """
 
     def __init__(self):
@@ -196,17 +207,26 @@ class GradTape:
                 g = [pending.pop(id(o), (o, None))[1] for o in out]
                 if all(x is None for x in g):
                     continue
-            for parent, pg in zip(parents, backward_fn(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                prev = pending.get(id(parent))
-                if prev is None:
-                    pending[id(parent)] = (parent, pg)
-                else:
-                    pending[id(parent)] = (parent, prev[1] + pg)
+            del out  # so the backward can free the output once it has read it
+            _hand_out(pending, parents, backward_fn(g))
         # whatever is left belongs to leaves (tensors not produced on this tape)
         for tensor, g in pending.values():
             tensor.grad = g if tensor.grad is None else tensor.grad + g
+
+
+def _hand_out(pending: dict, parents: tuple, grads) -> None:
+    """Add one backward's parent gradients to `pending`. An array returned
+    for two parents (add's pass-through) is copied for the second, so every
+    pending gradient is held by one parent alone."""
+    handed: list[np.ndarray] = []
+    for parent, pg in zip(parents, grads):
+        if pg is None or not parent.requires_grad:
+            continue
+        if any(pg is h for h in handed):
+            pg = pg.copy()
+        handed.append(pg)
+        prev = pending.get(id(parent))
+        pending[id(parent)] = (parent, pg if prev is None else prev[1] + pg)
 
 
 # -- helpers -------------------------------------------------------------------
@@ -412,8 +432,10 @@ def affine(x, w, b, relu: bool = False, out: np.ndarray | None = None) -> Tensor
         _relu_in_place(out)
 
     def bwd(g):
+        nonlocal out
         if relu:
-            g = _relu_mask(g, out)
+            _relu_mask_in_place(g, out)
+            out = None  # the mask was its last read: the GEMMs can reuse its memory
         return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
 
     return _make(out, (x, w, b), bwd)
@@ -677,8 +699,10 @@ def conv2d(x, kernel, bias=None, relu: bool = False) -> Tensor:
         _relu_in_place(out)
 
     def bwd(g_out):
+        nonlocal out
         if relu:
-            g_out = _relu_mask(g_out, out)
+            _relu_mask_in_place(g_out, out)
+            out = None  # the mask was its last read: the gradients can reuse its memory
         g2 = np.ascontiguousarray(g_out).reshape(n * h * w, cout)
         gk = gx = None
         if kernel.requires_grad:

@@ -342,9 +342,12 @@ def _check_checkpoint_names(out_dir: str, cfg: TrainConfig, start_step: int) -> 
 def _open_log(path: str, resume_step: int | None):
     """train_log.csv opened for appending rows. On resume the rows up to the
     checkpoint's step are kept and later ones (from the run that went on past
-    the checkpoint) are dropped, so the log matches an uninterrupted run."""
+    the checkpoint) are dropped, so the log matches an uninterrupted run. A
+    log whose kept rows end before the checkpoint's step gets one warning
+    naming both steps, and the run goes on; a missing log is not warned of."""
     kept = [LOG_HEADER + "\n"]
     if resume_step is not None and os.path.exists(path):
+        last = 0
         try:
             with open(path) as fh:
                 rows = fh.readlines()[1:]
@@ -360,6 +363,10 @@ def _open_log(path: str, resume_step: int | None):
             if int(step) > resume_step:
                 break
             kept.append(row)
+            last = int(step)
+        if last < resume_step:
+            logger.warning("%s: its rows end at step %d, before the checkpoint's step %d; "
+                           "resuming without the rows in between", path, last, resume_step)
     fh = open(path, "w")
     fh.writelines(kept)
     return fh

@@ -1,7 +1,9 @@
 """The bit contract across BLAS thread counts: with the desk config,
 super_resolve (tau 0 and seeded tau 0.5) and one stage-2 batch's parameter
-gradients hash the same at one and at two BLAS threads. Each count runs in
-its own process, because BLAS reads its thread count once at load time."""
+gradients hash the same at one, two and four BLAS threads. Each count runs
+in its own process, because BLAS reads its thread count once at load time.
+Four threads may oversubscribe the host's cores; the bits must hold then
+too."""
 
 import os
 import subprocess
@@ -46,9 +48,9 @@ print(digest.hexdigest())
 """
 
 
-def test_desk_sr_and_gradients_equal_at_one_and_two_blas_threads():
+def test_desk_sr_and_gradients_equal_at_one_two_and_four_blas_threads():
     procs = {}
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         env = dict(os.environ, PYTHONPATH=str(SRC), LINF_THREADS=threads,
                    OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads)
@@ -61,4 +63,4 @@ def test_desk_sr_and_gradients_equal_at_one_and_two_blas_threads():
         assert proc.returncode == 0, err[-2000:]
         hashes[threads] = out.strip()
     assert len(hashes["1"]) == 64
-    assert hashes["1"] == hashes["2"]
+    assert hashes["1"] == hashes["2"] == hashes["4"]

@@ -422,6 +422,36 @@ class TestFusedOps:
             nm.affine(np.ones((2, 3)), np.ones((2, 3)), np.ones(3))
 
 
+class TestGradientOwnership:
+    """add returns one gradient array for both of its parents, and the
+    relu-fused ops mask the gradient they receive in place; the tape copies
+    the array for add's second parent, so neither branch sees the other's
+    mask. Every leaf gradient equals the out-of-place op chain's bits."""
+
+    @staticmethod
+    def _two_relu_branches(op, arrays):
+        def build(x1, w1, b1, x2, w2, b2):
+            return nm.add(op(x1, w1, b1), op(x2, w2, b2))
+        return _readout_grads(build, arrays, seed=97)
+
+    @pytest.mark.parametrize("fused, chain, shapes", [
+        (lambda x, w, b: nm.affine(x, w, b, relu=True),
+         lambda x, w, b: _affine_chain(x, w, b, True),
+         [(31, 6), (6, 9), (9,), (31, 7), (7, 9), (9,)]),
+        (lambda x, k, b: nm.conv2d(x, k, b, relu=True),
+         lambda x, k, b: relu(nm.add(conv2d_per_offset(x, k), b)),
+         [(2, 6, 5, 3), (3, 3, 3, 8), (8,), (2, 6, 5, 4), (3, 3, 4, 8), (8,)]),
+    ], ids=["affine", "conv2d"])
+    def test_add_of_two_relu_ops_matches_the_op_chain(self, fused, chain, shapes):
+        rng = np.random.default_rng(98)
+        arrays = [rng.normal(size=s) for s in shapes]
+        out, grads = self._two_relu_branches(fused, arrays)
+        out_o, grads_o = self._two_relu_branches(chain, arrays)
+        assert out.tobytes() == out_o.tobytes()
+        for i, (g, g_o) in enumerate(zip(grads, grads_o)):
+            np.testing.assert_array_equal(g.view(np.int64), g_o.view(np.int64), err_msg=str(i))
+
+
 def _ensemble_case(case, rng):
     """(arrays [amap_flat, fmap_flat, phases], ensemble_features args after
     them) for one query layout of the four-neighbour ensemble."""

@@ -1,11 +1,13 @@
 """Batch sampling, loss assembly, optimization, and checkpoint contracts."""
 
+import dataclasses
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import scipy.stats
 import linf
 from linf import numerics as nm
 from linf import training
+from linf.config import load_config
 from linf.corpus import toy_corpus
 from linf.errors import ConfigError, TrainingError
 from linf.imaging import Image
@@ -32,6 +35,7 @@ from .helpers import micro_config, with_header
 
 
 SRC = Path(linf.__file__).resolve().parents[1]
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 
 # trains with `save_checkpoint` patched to end the process at once, without
 # any cleanup, right after ckpt_epoch001.linf is written; argv: out_dir and
@@ -180,6 +184,33 @@ class TestLoss:
         for k in plain:
             np.testing.assert_array_equal(probed[k], plain[k], err_msg=k)
 
+    def test_desk_backward_peak_stays_at_its_forward_tape(self):
+        """One desk-config stage-2 step: the backward's traced peak exceeds
+        what the tape holds at the end of forward by at most half of one
+        [Q, trunk_width] float64 buffer. A relu-fused op masks its gradient
+        in place and frees its saved output before its input-gradient GEMM,
+        so no masked copy, mask and saved output pile up on the incoming
+        gradient."""
+        model_cfg, train_cfg, _ = load_config(str(DESK))
+        model = Model.create(model_cfg, seed=0)
+        cfg = dataclasses.replace(train_cfg, stage=2)
+        batch = make_batch(toy_corpus(2, 96, seed=2), cfg, np.random.default_rng(3),
+                           patch_side=model_cfg.patch_side)
+        q = batch.coords.shape[0]
+        tracemalloc.start()
+        try:
+            with nm.GradTape() as tape:
+                total, _, _ = loss_components(batch, model, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(total)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q == 2048
+        over = peak - held
+        assert over <= q * model_cfg.trunk_width * 8 / 2, f"backward peak +{over / 2**20:.2f} MiB"
+
     def test_loss_finite_at_init_for_toy_batches(self):
         corpus = toy_corpus(8, 32, seed=12)
         cfg = tiny_train_cfg(stage=2)
@@ -308,6 +339,31 @@ class TestTrainLoop:
         log = (run / "train_log.csv").read_text()
         assert [row.split(",")[0] for row in log.splitlines()[1:]] == list("123456")
         assert log == (tmp_path / "full" / "train_log.csv").read_text()
+
+    def test_resume_warns_once_of_a_log_that_ends_before_the_checkpoint(self, tmp_path, caplog):
+        corpus = toy_corpus(4, 32, seed=16)
+        cfg = tiny_train_cfg(steps=6, steps_per_epoch=3)
+        run = tmp_path / "run"
+        train(corpus, cfg, micro_config(), out_dir=str(run))
+        log = run / "train_log.csv"
+        lines = log.read_text().splitlines(keepends=True)
+        log.write_text("".join(lines[:3]))  # the header and steps 1-2
+        with caplog.at_level("WARNING", logger="linf.training"):
+            train(corpus, cfg, None, out_dir=str(run), resume=str(run / "ckpt_epoch001.linf"))
+        warned = [r.getMessage() for r in caplog.records]
+        assert len(warned) == 1
+        assert "end at step 2, before the checkpoint's step 3" in warned[0]
+        assert log.read_text() == "".join(lines[:3] + lines[4:])  # steps 1-2 and 4-6
+
+    def test_resume_into_a_fresh_directory_is_silent(self, tmp_path, caplog):
+        corpus = toy_corpus(4, 32, seed=16)
+        cfg = tiny_train_cfg(steps=6, steps_per_epoch=3)
+        train(corpus, cfg, micro_config(), out_dir=str(tmp_path / "run"))
+        with caplog.at_level("WARNING", logger="linf.training"):
+            resumed = train(corpus, cfg, None, out_dir=str(tmp_path / "fresh"),
+                            resume=str(tmp_path / "run" / "ckpt_epoch001.linf"))
+        assert caplog.records == []
+        assert [row[0] for row in resumed.history] == [4, 5, 6]
 
     @pytest.mark.parametrize("row", ["xx,1,2,3,4,5\n", "\n", "-2,1,2,3,4,5\n", "2.0,1\n"])
     def test_resume_rejects_a_log_row_without_an_integer_step(self, tmp_path, row):

@@ -11,7 +11,8 @@ one after it. The second traces the call with `tracemalloc` and reads the
 peak of the memory allocated during it; tracing slows the call and adds its
 own memory, so it runs apart from the RSS reading. The traced peak counts
 what the call's arrays need at once, without the heap's high-water noise.
-The script prints one JSON object with a row per side:
+The script prints one JSON object with a row per side. Its `_mb` keys hold
+mebibytes (2^20 bytes), the unit of perfbench's `peak_rss_mb`:
 
 - `lr_side` and `output_pixels`;
 - `rss_before_mb` and `peak_rss_mb`;
