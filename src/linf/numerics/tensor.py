@@ -2,14 +2,17 @@
 
 Gradients are recorded only while a :class:`GradTape` is active; outside a
 tape every operation is a plain numpy computation. The tape owns the graph:
-one (output, parents, backward) record per op, in creation order, which is
+one (outputs, parents, backward) record per op, in creation order, which is
 already a valid topological order, so backward replays it in reverse and
-releases each record once the sweep has passed it. A :func:`probe` block
-reads pass counts and kink margins out of whatever runs inside it.
+releases each record once the sweep has passed it. A record names the
+tensors made on its tape by serial, so it keeps no op output alive; what a
+backward reads, its closure keeps. A :func:`probe` block reads pass counts
+and kink margins out of whatever runs inside it.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -22,6 +25,7 @@ from ..errors import ConfigError, ShapeError, UsageError
 from .linalg import LuFactors
 
 _state = threading.local()  # this thread's open tapes and probes
+_serials = itertools.count(1)  # one per recorded op output, across all tapes and threads
 
 
 def _stack(name: str) -> list:
@@ -98,12 +102,13 @@ def _relu_mask_in_place(g: np.ndarray, out: np.ndarray) -> None:
 class Tensor:
     """N-dimensional float64 array, optionally participating in a tape."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "serial")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self.serial: int | None = None  # set when a tape records this tensor as an op output
 
     # -- shape / value access ------------------------------------------------
 
@@ -152,19 +157,30 @@ class GradTape:
     passed it, so a tape runs backward once; the record count (len) stays
     as it was.
 
+    What a record keeps: its outputs' serials, its parents and its backward
+    closure. A parent made on this tape is named by its serial (the output's
+    `serial` slot, unique across tapes), so no record holds an op output;
+    a leaf (a parameter, an input, or a tensor made before this tape or on
+    another tape) is held by object when it needs a gradient, and named by
+    None otherwise. Pending gradients are keyed by those names, so a freed
+    output's id can never be taken for a live tensor's. A backward closure
+    captures only what it reads (add keeps two shapes, a relu-less affine
+    its operands), so an output that no backward reads is freed as soon as
+    the forward drops it.
+
     Gradient ownership: every gradient a backward receives is held by it
     alone, so it may overwrite it (the relu-fused ops mask it in place).
     A backward therefore returns arrays that nothing else holds (new ones,
     or the gradients it received, or views of either), and must not return
     one array, or overlapping views of one array, for two parents; the tape
     itself copies an array returned for two parents (add's pass-through)
-    for the second one. The sweep drops its reference to an op's output
-    before calling that op's backward, so a backward that drops its own
-    once read frees the output's memory.
+    for the second one. A backward that drops what its closure kept once it
+    has read it (the relu-fused ops' outputs) frees that memory.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple, Callable] | None] = []
+        self._records: list[tuple[int | tuple[int, ...], tuple, Callable] | None] = []
+        self._made: set[int] = set()  # serials of the outputs recorded here
 
     def __enter__(self) -> "GradTape":
         _stack("tapes").append(self)
@@ -179,11 +195,21 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._records)
 
+    def _name(self, t: Tensor) -> "int | Tensor | None":
+        """How a record names t: its serial if it was made on this tape,
+        else t itself if it needs a gradient, else None."""
+        if t.serial in self._made:
+            return t.serial
+        return t if t.requires_grad else None
+
     def _record(self, out: Tensor | tuple[Tensor, ...], parents: tuple,
                 backward_fn: Callable) -> None:
         for o in out if isinstance(out, tuple) else (out,):
             o.requires_grad = True
-        self._records.append((out, parents, backward_fn))
+            o.serial = next(_serials)
+            self._made.add(o.serial)
+        serials = tuple(o.serial for o in out) if isinstance(out, tuple) else out.serial
+        self._records.append((serials, tuple(map(self._name, parents)), backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Set .grad on every leaf (a tensor not produced on this tape) that
@@ -193,40 +219,38 @@ class GradTape:
         records = self._records
         if records and records[-1] is None:
             raise UsageError("backward already ran on this tape and released its graph")
-        pending: dict[int, tuple[Tensor, np.ndarray]] = {
-            id(loss): (loss, np.ones_like(loss.data))
-        }
+        name = loss.serial if loss.serial in self._made else loss
+        pending: dict[int | Tensor, np.ndarray] = {name: np.ones_like(loss.data)}
         for i in range(len(records) - 1, -1, -1):
-            out, parents, backward_fn = records[i]
+            serials, parents, backward_fn = records[i]
             records[i] = None
-            if isinstance(out, Tensor):
-                g = pending.pop(id(out), (out, None))[1]
+            if isinstance(serials, int):
+                g = pending.pop(serials, None)
                 if g is None:
                     continue
             else:  # several outputs: None for each one that received no gradient
-                g = [pending.pop(id(o), (o, None))[1] for o in out]
+                g = [pending.pop(s, None) for s in serials]
                 if all(x is None for x in g):
                     continue
-            del out  # so the backward can free the output once it has read it
             _hand_out(pending, parents, backward_fn(g))
-        # whatever is left belongs to leaves (tensors not produced on this tape)
-        for tensor, g in pending.values():
+        # whatever is left belongs to leaves, which are named by object
+        for tensor, g in pending.items():
             tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
 def _hand_out(pending: dict, parents: tuple, grads) -> None:
-    """Add one backward's parent gradients to `pending`. An array returned
-    for two parents (add's pass-through) is copied for the second, so every
-    pending gradient is held by one parent alone."""
+    """Add one backward's parent gradients to `pending`, by the parents'
+    names. An array returned for two parents (add's pass-through) is copied
+    for the second, so every pending gradient is held by one parent alone."""
     handed: list[np.ndarray] = []
     for parent, pg in zip(parents, grads):
-        if pg is None or not parent.requires_grad:
+        if pg is None or parent is None:
             continue
         if any(pg is h for h in handed):
             pg = pg.copy()
         handed.append(pg)
-        prev = pending.get(id(parent))
-        pending[id(parent)] = (parent, pg if prev is None else prev[1] + pg)
+        prev = pending.get(parent)
+        pending[parent] = pg if prev is None else prev + pg
 
 
 # -- helpers -------------------------------------------------------------------
@@ -267,20 +291,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
-    return _make(
-        a.data + b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _make(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
-    return _make(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _make(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
@@ -349,10 +367,10 @@ def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
     amp * [cos theta | sin theta] * weight, written into one buffer. Same
     values and gradients as the taped op chain kept in tests/oracles.py.
 
-    The record keeps the output, [cos | sin] and the caller's idx, delta
-    and weights; backward gathers the amplitudes from amp again with the
-    same rows, and scatters the table gradients in rounds of distinct rows
-    (see _scatter_rounds)."""
+    The record keeps [cos | sin], amp, freq's shape and the caller's idx,
+    delta and weights, but not the output, freq or phases; backward gathers
+    the amplitudes from amp again with the same rows, and scatters the
+    table gradients in rounds of distinct rows (see _scatter_rounds)."""
     amp, freq, phases = tensor(amp), tensor(freq), tensor(phases)
     q, n = idx.shape
     k2 = amp.shape[1]
@@ -376,6 +394,7 @@ def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
     np.sin(theta, out=cs[..., k:])
     del theta
     w = None if weights is None else weights[:, :, None]
+    freq_shape = freq.shape
     # without a tape nothing reads [cos | sin] again, so scale it in place
     taped = active_tape() is not None and (amp.requires_grad or freq.requires_grad
                                            or phases.requires_grad)
@@ -406,7 +425,7 @@ def fourier_gather(amp, freq, phases, idx: np.ndarray, delta: np.ndarray,
         np.multiply(g_theta, dx, out=g_f[..., 1::2])
         del g_theta
         g_f = g_f.reshape(q * n, k2)
-        g_freq = np.zeros_like(freq.data)
+        g_freq = np.zeros(freq_shape)
         for pos, at in rounds:
             g_freq[at] += g_f[pos]
         return (g_amp, g_freq, g_phases)
@@ -420,7 +439,8 @@ def affine(x, w, b, relu: bool = False, out: np.ndarray | None = None) -> Tensor
     buffer), else a new one.
 
     Same values and gradients as relu(add(matmul(x, w), b)); a probe reads
-    the pre-activation's kink margin."""
+    the pre-activation's kink margin. The record keeps x and w, and the
+    output only with relu, whose mask backward reads from it."""
     x, w, b = tensor(x), tensor(w), tensor(b)
     if x.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"affine expects 2-D operands, got {x.shape} @ {w.shape}")
@@ -430,12 +450,13 @@ def affine(x, w, b, relu: bool = False, out: np.ndarray | None = None) -> Tensor
     out += b.data
     if relu:
         _relu_in_place(out)
+    kept = out if relu else None  # backward reads the relu mask from it
 
     def bwd(g):
-        nonlocal out
+        nonlocal kept
         if relu:
-            _relu_mask_in_place(g, out)
-            out = None  # the mask was its last read: the GEMMs can reuse its memory
+            _relu_mask_in_place(g, kept)
+            kept = None  # the mask was its last read: the GEMMs can reuse its memory
         return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
 
     return _make(out, (x, w, b), bwd)
@@ -553,16 +574,18 @@ def transpose(a) -> Tensor:
 
 def reshape(a, shape: tuple) -> Tensor:
     a = tensor(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    sa = a.shape
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(sa),))
 
 
 def index_rows(a, idx: np.ndarray) -> Tensor:
     """Gather rows along axis 0; backward scatter-adds (duplicates allowed)."""
     a = tensor(a)
     idx = np.asarray(idx)
+    sa = a.shape
 
     def bwd(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(sa)
         np.add.at(buf, idx, g)
         return (buf,)
 
@@ -571,11 +594,12 @@ def index_rows(a, idx: np.ndarray) -> Tensor:
 
 def tsum(a, axis=None) -> Tensor:
     a = tensor(a)
+    sa = a.shape
 
     def bwd(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, sa).copy(),)
 
     return _make(a.data.sum(axis=axis), (a,), bwd)
 
@@ -632,8 +656,9 @@ def conv2d(x, kernel, bias=None, relu: bool = False) -> Tensor:
     output. With relu the output is clipped at zero in place, after a probe
     has read the pre-activation's kink margin.
 
-    The record keeps only the output; the padded table is freed when the
-    forward returns. Backward rebuilds it from x for the kernel gradient,
+    The record keeps x and the kernel, and the output only with relu, whose
+    mask backward reads from it; the padded table is freed when the forward
+    returns. Backward rebuilds it from x for the kernel gradient,
     which contracts a contiguous [N*H*W, Cin] copy of each shifted slice;
     the input gradient adds g @ K[dy, dx].T into the shifted slice of a
     padded buffer; with relu, g is first masked by output > 0.
@@ -697,12 +722,13 @@ def conv2d(x, kernel, bias=None, relu: bool = False) -> Tensor:
     out = out[0] if squeeze else out
     if relu:
         _relu_in_place(out)
+    kept = out if relu else None  # backward reads the relu mask from it
 
     def bwd(g_out):
-        nonlocal out
+        nonlocal kept
         if relu:
-            _relu_mask_in_place(g_out, out)
-            out = None  # the mask was its last read: the gradients can reuse its memory
+            _relu_mask_in_place(g_out, kept)
+            kept = None  # the mask was its last read: the gradients can reuse its memory
         g2 = np.ascontiguousarray(g_out).reshape(n * h * w, cout)
         gk = gx = None
         if kernel.requires_grad:

@@ -68,19 +68,54 @@ def test_exit_code_and_output_file(fp, monkeypatch, tmp_path, capsys, change, co
     parent = {"a": "1", "b": "2"}
     sides = iter([_Side(parent), _Side(change)])
     monkeypatch.setattr(fp, "export", lambda rev, dest: None)
-    monkeypatch.setattr(fp, "start_side", lambda root: next(sides))
+    monkeypatch.setattr(fp, "start_side", lambda root, threads: next(sides))
     out = tmp_path / "fp.json"
     assert fp.main(["HEAD~1", "--out", str(out)]) == code
     written = json.loads(out.read_text())
     assert (written["parent"], written["change"]) == (parent, change)
     assert written["differ"] == fp.compare(parent, change)
+    assert (written["parent_rev"], written["threads"]) == ("HEAD~1", 1)
     assert capsys.readouterr().out.splitlines() == fp.report(parent, change)
+
+
+@pytest.mark.parametrize("argv,threads", [([], 1), (["--threads", "3"], 3)])
+def test_both_sides_get_the_thread_count(fp, monkeypatch, tmp_path, argv, threads):
+    """Each side's child process sees the count in every thread variable;
+    Popen is replaced, so no battery runs."""
+    envs = []
+
+    class FakePopen:
+        def __init__(self, cmd, cwd, env, **kwargs):
+            assert cmd[-2:] == [fp.COLLECT, str(cwd)]
+            envs.append(env)
+            self.returncode = 0
+
+        def communicate(self):
+            return "{}", ""
+
+    monkeypatch.setattr(fp, "export", lambda rev, dest: None)
+    monkeypatch.setattr(fp.subprocess, "Popen", FakePopen)
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")  # the caller's setting does not leak through
+    assert fp.main(["HEAD~1", *argv]) == 0
+    assert len(envs) == 2
+    for env in envs:
+        assert {name: env[name] for name in fp.THREAD_VARIABLES} == {
+            "LINF_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+            "OPENBLAS_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
+        assert env["PYTHONPATH"].endswith("src")
+
+
+@pytest.mark.parametrize("text", ["0", "-2", "two", "1.5"])
+def test_bad_thread_counts_rejected(fp, text):
+    with pytest.raises(SystemExit) as exc:
+        fp.main(["HEAD~1", "--threads", text])
+    assert exc.value.code == 2
 
 
 def test_failed_side_exits_2(fp, monkeypatch, capsys):
     sides = iter([_Side({}, returncode=1), _Side({})])
     monkeypatch.setattr(fp, "export", lambda rev, dest: None)
-    monkeypatch.setattr(fp, "start_side", lambda root: next(sides))
+    monkeypatch.setattr(fp, "start_side", lambda root, threads: next(sides))
     assert fp.main(["HEAD~1"]) == 2
     assert "parent battery failed" in capsys.readouterr().err
 

@@ -3,6 +3,7 @@
 import importlib
 import threading
 import tracemalloc
+import weakref
 from contextlib import nullcontext
 
 import numpy as np
@@ -636,6 +637,113 @@ class TestStructureOps:
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
+
+
+def _freed_case(family, rng):
+    """(arrays of the leaves, make, consume) for one op family: make builds
+    a tape-made tensor t from the leaves, and consume(t, leaves) applies the
+    op under test, whose backward must not read t. mul keeps only its
+    leaf inputs, so t is held by the caller alone; no relu is set."""
+    def made(leaves):
+        return nm.mul(leaves[0], leaves[1])
+
+    if family == "fourier_gather":  # t is the frequency table
+        idx, delta = rng.integers(6, size=(9, 4)), rng.normal(size=(9, 4, 2))
+        weights = rng.random((9, 4))
+        shapes = [(6, 8), (6, 8), (6, 8), (9, 4)]
+        return shapes, made, lambda t, lv: nm.fourier_gather(lv[2], t, lv[3], idx, delta, weights)
+    if family == "conv2d":  # t is the relu-less conv output
+        shapes = [(2, 5, 4, 3), (3, 3, 3, 8), (8,)]
+        return shapes, lambda lv: nm.conv2d(*lv), lambda t, lv: t
+    if family == "affine":  # t is the relu-less affine output
+        shapes = [(7, 5), (5, 6), (6,)]
+        return shapes, lambda lv: nm.affine(*lv), lambda t, lv: t
+    if family in ("add", "sub"):  # a broadcast second operand
+        consume = {"add": lambda t, lv: nm.add(t, lv[2]),
+                   "sub": lambda t, lv: nm.sub(lv[2], t)}[family]
+        return [(4, 5), (4, 5), (4, 1)], made, consume
+    consume = {
+        "reshape": lambda t, lv: nm.reshape(t, (t.size,)),
+        "index_rows": lambda t, lv: nm.index_rows(t, np.array([3, 0, 3, 1])),
+        "tsum": lambda t, lv: nm.tsum(t, axis=1),
+    }[family]
+    return [(4, 5), (4, 5)], made, consume
+
+
+class TestRecordsKeepOnlyWhatBackwardReads:
+    """A record names the outputs made on its tape by serial, and a backward
+    closure keeps only what it reads, so an output that no backward reads
+    is freed as soon as the caller drops it, inside the open tape; the leaf
+    gradients are the bits of the same chain with the output held."""
+
+    @staticmethod
+    def _run(family, drop):
+        """(whether t's array outlived the caller's reference, leaf grads)."""
+        rng = np.random.default_rng(110)
+        shapes, make, consume = _freed_case(family, rng)
+        leaves = [nm.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        with nm.GradTape() as tape:
+            t = make(leaves)
+            t_data = weakref.ref(t.data)
+            # neg reads nothing, so the readout never holds a view of t
+            out = nm.neg(consume(t, leaves))
+            held = [] if drop else [t]
+            del t
+            alive = t_data() is not None
+            readout = np.random.default_rng(111).normal(size=out.shape)
+            loss = nm.tsum(nm.mul(out, nm.tensor(readout)))
+        tape.backward(loss)
+        del held
+        return alive, [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("family", ["add", "sub", "reshape", "index_rows", "tsum",
+                                        "fourier_gather", "conv2d", "affine"])
+    def test_output_freed_and_gradients_unchanged(self, family):
+        alive, grads = self._run(family, drop=True)
+        assert not alive, f"{family} kept an array its backward never reads"
+        held_alive, held_grads = self._run(family, drop=False)
+        assert held_alive
+        for i, (g, g_held) in enumerate(zip(grads, held_grads)):
+            np.testing.assert_array_equal(g.view(np.int64), g_held.view(np.int64), err_msg=str(i))
+
+    @pytest.mark.parametrize("op", [
+        lambda x: nm.affine(x, np.ones((3, 4)), np.zeros(4), relu=True),
+        lambda x: nm.conv2d(x.reshape(1, 2, 3), np.ones((1, 1, 3, 2)), relu=True),
+    ], ids=["affine", "conv2d"])
+    def test_relu_output_kept_for_its_mask(self, op):
+        x = nm.Tensor(np.arange(6.0).reshape(2, 3) - 2.5, requires_grad=True)
+        with nm.GradTape() as tape:
+            t = op(x)
+            t_data = weakref.ref(t.data)
+            loss = nm.tsum(nm.neg(t))
+            del t
+            assert t_data() is not None
+        tape.backward(loss)
+        assert t_data() is None  # released once the sweep has passed its record
+        assert x.grad.shape == (2, 3)
+
+    def test_tensor_from_an_earlier_tape_is_a_leaf(self):
+        x = nm.Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        with nm.GradTape():
+            y = nm.mul(x, x)
+        c = np.array([3.0, 0.25])
+        with nm.GradTape() as tape:
+            loss = nm.tsum(nm.mul(y, nm.tensor(c)))
+        tape.backward(loss)
+        np.testing.assert_array_equal(y.grad, c)
+        assert x.grad is None  # the first tape never ran backward
+
+    def test_output_read_by_two_ops_gets_both_gradients(self):
+        rng = np.random.default_rng(112)
+        x, y = (nm.Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        with nm.GradTape() as tape:
+            t = nm.mul(x, y)
+            loss = nm.add(nm.tsum(nm.mul(t, nm.tensor(a))), nm.tsum(nm.mul(t, nm.tensor(b))))
+            del t
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, (a + b) * y.data)
+        np.testing.assert_array_equal(y.grad, (a + b) * x.data)
 
 # inputs on a grid of quarters, so every distance below is exact
 _KINK_INPUT = np.array([[-1.5, 0.75, 2.25], [3.5, -0.25, 1.0]])

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,6 +129,32 @@ class TestMakeBatch:
             make_batch([small], cfg, np.random.default_rng(4))
 
 
+@pytest.fixture(scope="class")
+def desk_step():
+    """One desk-config stage-2 step (2048 queries), traced: the bytes the
+    tape holds at the end of forward and the backward's peak, both over what
+    was allocated before the step."""
+    model_cfg, train_cfg, _ = load_config(str(DESK))
+    model = Model.create(model_cfg, seed=0)
+    cfg = dataclasses.replace(train_cfg, stage=2)
+    batch = make_batch(toy_corpus(2, 96, seed=2), cfg, np.random.default_rng(3),
+                       patch_side=model_cfg.patch_side)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with nm.GradTape() as tape:
+            total, _, _ = loss_components(batch, model, cfg)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return SimpleNamespace(q=batch.coords.shape[0], model_cfg=model_cfg,
+                           lr_shape=batch.lr.shape, tape=held - before,
+                           backward_peak=peak - before)
+
+
 class TestLoss:
     def test_identity_model_zero_targets_l1_only_is_zero(self):
         # premise of the contract: targets exactly zero, identity flow,
@@ -184,32 +211,43 @@ class TestLoss:
         for k in plain:
             np.testing.assert_array_equal(probed[k], plain[k], err_msg=k)
 
-    def test_desk_backward_peak_stays_at_its_forward_tape(self):
+    def test_desk_backward_peak_stays_at_its_forward_tape(self, desk_step):
         """One desk-config stage-2 step: the backward's traced peak exceeds
         what the tape holds at the end of forward by at most half of one
         [Q, trunk_width] float64 buffer. A relu-fused op masks its gradient
         in place and frees its saved output before its input-gradient GEMM,
         so no masked copy, mask and saved output pile up on the incoming
         gradient."""
-        model_cfg, train_cfg, _ = load_config(str(DESK))
-        model = Model.create(model_cfg, seed=0)
-        cfg = dataclasses.replace(train_cfg, stage=2)
-        batch = make_batch(toy_corpus(2, 96, seed=2), cfg, np.random.default_rng(3),
-                           patch_side=model_cfg.patch_side)
-        q = batch.coords.shape[0]
-        tracemalloc.start()
-        try:
-            with nm.GradTape() as tape:
-                total, _, _ = loss_components(batch, model, cfg)
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            tape.backward(total)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        q, model_cfg = desk_step.q, desk_step.model_cfg
         assert q == 2048
-        over = peak - held
+        over = desk_step.backward_peak - desk_step.tape
         assert over <= q * model_cfg.trunk_width * 8 / 2, f"backward peak +{over / 2**20:.2f} MiB"
+
+    def test_desk_forward_tape_holds_what_backward_reads(self, desk_step):
+        """The same step's tape at the end of forward is at most the arrays
+        that its backwards read, plus 1 MiB for the index arrays of the
+        gather, the phase MLP and the tape's own objects. An output that no
+        backward reads (a relu-less conv output feeding a residual add, the
+        frequency bank map, the phases, the flow inverse's div output) adds
+        nothing."""
+        q, cfg = desk_step.q, desk_step.model_cfg
+        b, h, w, _ = desk_step.lr_shape
+        pixels, k, d, layers = b * h * w, cfg.frequencies, cfg.patch_dim, cfg.flow_layers
+        read = 8 * (
+            2 * q * cfg.trunk_width  # the two trunk outputs: relu masks and GEMM inputs
+            + 2 * q * 8 * k  # the features (the first trunk GEMM's input) and [cos | sin]
+            + q * 2 * d * layers  # the head, whose clamp mask backward reads
+            + layers * q * d  # alpha
+            # conv inputs: the shifted input, each block's two, the tail's and the bank maps'
+            + pixels * 3 + (2 * cfg.encoder_blocks + 2) * pixels * cfg.encoder_channels
+            + pixels * 2 * k  # the amplitude bank map, which the gather reads again
+            # per flow layer two [Q, D] arrays each way (affine and injector
+            # inputs forward, div's numerator and the solve inverse), and the
+            # L1 residual
+            + (4 * layers + 1) * q * d
+        )
+        assert desk_step.tape <= read + 2**20, (
+            f"tape {desk_step.tape / 2**20:.2f} MiB, read {read / 2**20:.2f} MiB")
 
     def test_loss_finite_at_init_for_toy_batches(self):
         corpus = toy_corpus(8, 32, seed=12)

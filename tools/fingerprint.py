@@ -1,10 +1,12 @@
 """Bit fingerprints of a parent revision and the working tree, compared.
 
-    python3 tools/fingerprint.py PARENT [--out FP.json]
+    python3 tools/fingerprint.py PARENT [--out FP.json] [--threads N]
 
 The parent is exported with `git archive` into a temporary directory. The
 battery below runs once per side, each side in its own process (both at
-once, BLAS on one thread each) importing `linf` from that side's `src/`:
+once, BLAS on N threads each, 1 by default; N goes to `LINF_THREADS`,
+`OMP_NUM_THREADS`, `OPENBLAS_NUM_THREADS` and `MKL_NUM_THREADS`) importing
+`linf` from that side's `src/`:
 
 - the loss and every parameter gradient over 3 Adam steps, for stages 1
   and 2 and both ensemble weightings, on perturbed desk and patch3 models,
@@ -25,7 +27,9 @@ float differs when any bit does, -0.0 against +0.0 included. The script
 prints every fingerprint that differs or exists on one side only, by name,
 and exits 1 if any does. Fingerprints depend on the numpy and BLAS build and
 on the CPU, so the tool compares two trees on one machine; no golden file is
-kept.
+kept. Some depend on the BLAS thread count too (the README's "Bit
+contract"): they are the ones that differ between the `--out` files of a
+run at `--threads 1` and a run at `--threads 2`.
 """
 
 from __future__ import annotations
@@ -266,23 +270,40 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def start_side(root: Path) -> subprocess.Popen:
-    """This script's battery in a fresh process importing `linf` from root/src."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), LINF_THREADS="1",
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+THREAD_VARIABLES = ("LINF_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def start_side(root: Path, threads: int) -> subprocess.Popen:
+    """This script's battery in a fresh process importing `linf` from
+    root/src, with BLAS on `threads` threads."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               **{name: str(threads) for name in THREAD_VARIABLES})
     return subprocess.Popen([sys.executable, str(Path(__file__).resolve()), COLLECT, str(root)],
                             cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True)
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--threads must be an integer >= 1, got {text!r}")
+    return value
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="git revision of the parent")
     parser.add_argument("--out", help="JSON file for both sides' fingerprints")
+    parser.add_argument("--threads", type=positive_int, default=1,
+                        help="BLAS threads of both sides' processes (default 1)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="fingerprint-parent-") as tmp:
         export(args.parent, Path(tmp))
-        procs = {"parent": start_side(Path(tmp)), "change": start_side(ROOT)}
+        procs = {"parent": start_side(Path(tmp), args.threads),
+                 "change": start_side(ROOT, args.threads)}
         prints = {}
         for side, proc in procs.items():
             stdout, stderr = proc.communicate()
@@ -294,7 +315,7 @@ def main(argv=None) -> int:
     print("\n".join(lines))
     if args.out:
         Path(args.out).write_text(json.dumps(
-            {"parent": args.parent, "differ": compare(prints["parent"], prints["change"]),
+            {"parent_rev": args.parent, "threads": args.threads, "differ": compare(prints["parent"], prints["change"]),
              **prints}, indent=1, sort_keys=True) + "\n")
     return 1 if len(lines) > 1 else 0
 
