@@ -5,7 +5,7 @@ shift parameters consumed by the flow, via per-neighbor Fourier features:
 amplitudes and frequencies come from two conv heads over the feature map,
 phases from a small MLP on the scalar cell size. The four nearest neighbors'
 features are bilinearly weighted and concatenated into one vector so the
-parameter-generating MLP and the flow run once per query. `condition_rows`
+parameter-generating MLP and the flow run once per query. `conditioner`
 is the one path from neighbourhoods to a condition, shared by training, `sr`
 and the `--ensemble local` loop; `condition` maps query coordinates to
 their neighbourhoods first. `ensemble_features` builds the concatenated
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     from .model import Model
 
 ALPHA_CLAMP = 8.0  # pre-activation bound; alpha = exp(clamp(pre, -8, 8))
-TRUNK_BAND_ROWS = 512  # query rows per untaped conditioner band (see condition_rows)
+TRUNK_BAND_ROWS = 512  # query rows per untaped conditioner band (see conditioner)
 
 WEIGHTING_FULL = "full"
 WEIGHTING_NONE = "none"
@@ -133,68 +133,59 @@ def ensemble_features(
 # -- parameter generation -------------------------------------------------------------------
 
 
-def conditioner(kappa: nm.Tensor, model: Model) -> ConditionerOutput:
-    """The taped MLP trunk over kappa [Q, 8K] producing per-layer (logdet,
-    alpha, phi); training's path (see condition_rows).
-
-    The head output holds per layer contiguous (alpha_pre_k, phi_k) blocks
-    of D each, k ascending; one op (`numerics.conditioner_head`) clamps,
-    sums and exponentiates the alpha_pre blocks and hands out the phi
-    blocks as views. Each layer is one call over all Q rows. kappa is
-    released once the first layer has read it.
-    """
-    nm.count("conditioner", kappa.shape[0])
-    p = model.params
-    h = nm.affine(kappa, p["implicit.trunk.w1"], p["implicit.trunk.b1"], relu=True)
-    del kappa
-    h = nm.affine(h, p["implicit.trunk.w2"], p["implicit.trunk.b2"], relu=True)
-    h = nm.affine(h, p["implicit.head.w"], p["implicit.head.b"])
-    return ConditionerOutput(*nm.conditioner_head(
-        h, model.cfg.flow_layers, model.cfg.patch_dim, ALPHA_CLAMP))
-
-
-def condition_rows(
-    model: Model, amap_flat: nm.Tensor, fmap_flat: nm.Tensor, phases: nm.Tensor,
+def conditioner(
     rows: np.ndarray, delta: np.ndarray, weights: np.ndarray,
+    amap_flat: nm.Tensor, fmap_flat: nm.Tensor, phases: nm.Tensor, model: Model,
 ) -> ConditionerOutput:
-    """Condition for Q queries given by their neighbour table rows, relative
-    coordinates and weights (as neighborhood_geometry returns them) on
-    bank-map tables [rows, 2K]; phases is [Q, K].
+    """Condition for Q queries given by their neighbour table rows [Q, 4],
+    relative coordinates and weights (as neighborhood_geometry returns them)
+    on bank-map tables [rows, 2K]; phases is [Q, K]. The one path from
+    neighbourhoods to per-layer (logdet, alpha, phi), shared by training,
+    `sr` and the `--ensemble local` loop.
 
-    Under a tape this is conditioner(ensemble_features(...)). Without one,
-    the feature gather and both trunk layers run per band of TRUNK_BAND_ROWS
-    rows, each band writing its rows of one [Q, trunk_width] buffer, so
-    neither the [Q, 8K] features nor a first trunk layer ever exist whole.
-    Row bands of the gather and of the trunk GEMMs give the whole call's
-    bits; those of the head GEMM do not, so the head is one call, read
-    through `numerics.lazy_conditioner_head`: each layer's alpha and log-det
-    are computed only when the flow reads them. The bits are the taped
-    path's.
+    The features (`ensemble_features`) go through the MLP trunk and its
+    head. The head output holds per layer contiguous (alpha_pre_k, phi_k)
+    blocks of D each, k ascending. Under a tape the gather and the trunk
+    run once over all Q rows and one op (`numerics.conditioner_head`)
+    clamps, sums and exponentiates the alpha_pre blocks and hands out the
+    phi blocks as views. Without one, the gather and both trunk layers run
+    per band of TRUNK_BAND_ROWS rows, each band writing its rows of one
+    [Q, trunk_width] buffer, so neither the [Q, 8K] features nor a first
+    trunk layer ever exist whole. Row bands of the gather and of the trunk
+    GEMMs give the whole call's bits; those of the head GEMM do not, so the
+    head is one call, read through `numerics.lazy_conditioner_head`: each
+    layer's alpha and log-det are computed only when the flow reads them.
+    Both paths give the same bits.
     """
-    weighting = model.cfg.ensemble_weighting
-    if nm.active_tape() is not None:
-        return conditioner(ensemble_features(
-            amap_flat, fmap_flat, phases, rows, delta, weights, weighting), model)
     q = rows.shape[0]
     nm.count("conditioner", q)
     p = model.params
+    weighting = model.cfg.ensemble_weighting
     w1, b1 = p["implicit.trunk.w1"], p["implicit.trunk.b1"]
     w2, b2 = p["implicit.trunk.w2"], p["implicit.trunk.b2"]
-    phases = nm.tensor(phases).data
-    h = np.empty((q, w2.shape[1]))
-    # a one-row GEMM takes numpy's vector path, whose bits differ, so a
-    # last band of one row joins the band before it
-    starts = list(range(0, max(q - 1, 1), TRUNK_BAND_ROWS))
-    for start, stop in zip(starts, starts[1:] + [q]):
-        band = slice(start, stop)
-        kappa = ensemble_features(amap_flat, fmap_flat, phases[band], rows[band],
-                                  delta[band], weights[band], weighting)
-        nm.affine(nm.affine(kappa, w1, b1, relu=True), w2, b2, relu=True, out=h[band])
-    del kappa
-    head = nm.affine(h, p["implicit.head.w"], p["implicit.head.b"]).data
+
+    def trunk(phases, rows, delta, weights, out=None) -> nm.Tensor:
+        kappa = ensemble_features(amap_flat, fmap_flat, phases, rows, delta, weights, weighting)
+        return nm.affine(nm.affine(kappa, w1, b1, relu=True), w2, b2, relu=True, out=out)
+
+    taped = nm.active_tape() is not None
+    if taped:
+        h = trunk(phases, rows, delta, weights)
+    else:
+        phases = nm.tensor(phases).data
+        h = np.empty((q, w2.shape[1]))
+        # a one-row GEMM takes numpy's vector path, whose bits differ, so a
+        # last band of one row joins the band before it
+        starts = list(range(0, max(q - 1, 1), TRUNK_BAND_ROWS))
+        for start, stop in zip(starts, starts[1:] + [q]):
+            band = slice(start, stop)
+            trunk(phases[band], rows[band], delta[band], weights[band], out=h[band])
+    head = nm.affine(h, p["implicit.head.w"], p["implicit.head.b"])
     del h
-    return ConditionerOutput(*nm.lazy_conditioner_head(
-        head, model.cfg.flow_layers, model.cfg.patch_dim, ALPHA_CLAMP))
+    layers, dim = model.cfg.flow_layers, model.cfg.patch_dim
+    if taped:
+        return ConditionerOutput(*nm.conditioner_head(head, layers, dim, ALPHA_CLAMP))
+    return ConditionerOutput(*nm.lazy_conditioner_head(head.data, layers, dim, ALPHA_CLAMP))
 
 
 def condition(
@@ -203,8 +194,8 @@ def condition(
 ) -> ConditionerOutput:
     """Condition for queries x_q [Q, 2] on bank maps [H, W, 2K] or, with
     `crop` [Q], on B lattices [B, H, W, 2K] where query i reads lattice
-    crop[i]. phases is [Q, K]. See condition_rows."""
+    crop[i]. phases is [Q, K]. See conditioner."""
     height, width, k2 = amap.shape[-3:]
     rows, delta, weights = neighborhood_geometry(height, width, x_q, crop)
-    return condition_rows(model, amap.reshape(-1, k2), fmap.reshape(-1, k2), phases,
-                          rows, delta, weights)
+    return conditioner(rows, delta, weights, amap.reshape(-1, k2), fmap.reshape(-1, k2),
+                       phases, model)

@@ -127,9 +127,12 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- in-place mutation (optimizer use only) -------------------------------
+    # -- value replacement -----------------------------------------------------
 
     def assign_(self, values: np.ndarray) -> None:
+        """Replace the values with a copy of `values` (same shape), in a new
+        array; the flow's rejitter and model set-up use it. `training.Adam`
+        updates `data` in place instead."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape != self.data.shape:
             raise ShapeError(f"assign_ shape {values.shape} != {self.data.shape}")

@@ -22,7 +22,7 @@ from .imaging import Image, bilinear_upsample
 from .implicit import (
     bank_maps,
     condition,
-    condition_rows,
+    conditioner,
     neighborhood_geometry,
     phase_vector,
 )
@@ -207,11 +207,10 @@ def generate_texture_patches(
         for nb in range(4):
             # as if neighbour nb were the whole neighbourhood: every slot
             # carries its features (with its own relative coordinate)
-            cond_nb = condition_rows(
-                model, amap_flat, fmap_flat, phases,
+            cond_nb = conditioner(
                 np.repeat(rows[:, nb : nb + 1], 4, axis=1),
                 np.repeat(delta[:, nb : nb + 1], 4, axis=1),
-                weights,
+                weights, amap_flat, fmap_flat, phases, model,
             )
             z = draw() if z is None else z
             out += weights[:, nb : nb + 1] * model.flow.inverse(z, cond_nb).data
@@ -236,7 +235,7 @@ def super_resolve(
     Per image: the encoder and the bank maps, the texture patches, and at
     the end the bilinear base, to which the texture is added and which is
     clipped in place. Per chunk of CHUNK_QUERIES queries: its patch centers,
-    the condition (`implicit.condition_rows`, banded and inverse-only), then
+    the condition (`implicit.conditioner`, banded and inverse-only), then
     its latents and the flow inverse. Phases depend only on the chunk size,
     so they are computed again only for a shorter last chunk.
     """

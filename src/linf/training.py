@@ -176,7 +176,13 @@ def loss_components(batch: Batch, model: Model, cfg: TrainConfig) -> tuple[nm.Te
 
 
 class Adam:
-    """Adam with bias correction over a named parameter dict."""
+    """Adam with bias correction over a named parameter dict.
+
+    `step` updates the moments `m`, `v` and each parameter's array in place,
+    with the operations and rounding order of the out-of-place
+    `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*(g*g)`,
+    `p = p - lr * (m/b1c) / (sqrt(v/b2c) + eps)`, so the long-lived arrays
+    keep their memory from step to step."""
 
     def __init__(self, params: dict[str, nm.Tensor], cfg: TrainConfig):
         self.params = params
@@ -198,11 +204,20 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
-            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
-            p.assign_(p.data - lr * update)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            gg = g * g
+            gg *= 1 - self.beta2
+            v += gg
+            denom = v / b2c
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = m / b1c
+            update /= denom
+            update *= lr
+            p.data -= update
 
 
 def lr_at_step(cfg: TrainConfig, step: int) -> float:
@@ -294,11 +309,11 @@ def train(
         return path
 
     ckpt_path = None
+    adam.zero_grad()
     try:
         for step in range(start_step + 1, cfg.steps + 1):
             lr = lr_at_step(cfg, step)
             batch = make_batch(corpus, cfg, rng, patch_side=model.cfg.patch_side)
-            adam.zero_grad()
             try:
                 with nm.GradTape() as tape:
                     total, nll_v, l1_v = loss_components(batch, model, cfg)
@@ -308,6 +323,9 @@ def train(
                 _rejitter_flow(model, rng)
                 logger.warning("singular flow weight at step %d; step rejected, W re-jittered", step)
                 continue
+            finally:
+                # Adam has read the gradients: free them before the next batch
+                adam.zero_grad()
             epoch = (step - 1) // cfg.steps_per_epoch + 1
             row = (step, epoch, nll_v, l1_v, float(total.data), lr)
             history.append(row)

@@ -12,6 +12,8 @@ activation that `numerics.affine` and `numerics.conv2d` fuse; and
 `conditioner_head_chain` the per-layer `getitem`/`clamp`/exp chain that the
 fused `numerics.conditioner_head` replaced. `getitem` (a taped copy of
 `a[key]`) is not a method of `Tensor`, so the chains call it by name.
+`adam_step_out_of_place` is the Adam update that `training.Adam.step` makes
+in place.
 """
 
 from dataclasses import dataclass
@@ -157,6 +159,25 @@ def conditioner_head_summed(head, layers: int, dim: int, bound: float
     as five taped ops per layer."""
     alpha_pre, alpha, phi = conditioner_head_chain(head, layers, dim, bound)
     return [nm.tsum(pre, axis=1) for pre in alpha_pre], alpha, phi
+
+
+def adam_step_out_of_place(
+    params: dict, grads: dict, m: dict, v: dict, t: int, lr: float,
+    beta1: float, beta2: float, eps: float,
+) -> tuple[dict, dict, dict]:
+    """Adam step t (from 1) as new (params, m, v) dicts of arrays; a name
+    whose gradient is None keeps its arrays."""
+    params, m, v = dict(params), dict(m), dict(v)
+    b1c = 1.0 - beta1 ** t
+    b2c = 1.0 - beta2 ** t
+    for name, g in grads.items():
+        if g is None:
+            continue
+        m[name] = beta1 * m[name] + (1 - beta1) * g
+        v[name] = beta2 * v[name] + (1 - beta2) * (g * g)
+        update = (m[name] / b1c) / (np.sqrt(v[name] / b2c) + eps)
+        params[name] = params[name] - lr * update
+    return params, m, v
 
 
 def ensemble_features_chain(

@@ -343,12 +343,18 @@ class TestCondition:
                     np.testing.assert_allclose(got.data[rows], want.data, rtol=0, atol=1e-12)
 
 
+def _neighbourhood(rng, model, q):
+    """conditioner's arguments for q random queries on a random 4x5 table."""
+    rows, delta, weights = neighborhood_geometry(4, 5, rng.uniform(-1, 1, size=(q, 2)))
+    amap, fmap = (nm.tensor(rng.normal(size=(20, 2 * model.cfg.frequencies))) for _ in range(2))
+    return rows, delta, weights, amap, fmap, phase_vector(rng.uniform(0.2, 2.0, size=q), model), model
+
+
 class TestConditioner:
     def test_zero_head_identity_injector(self):
         model = micro_model(seed=9)
         rng = np.random.default_rng(55)
-        kappa = nm.tensor(rng.normal(size=(5, 8 * model.cfg.frequencies)))
-        cond = conditioner(kappa, model)
+        cond = conditioner(*_neighbourhood(rng, model, 5))
         for k in range(model.cfg.flow_layers):
             np.testing.assert_array_equal(cond.alpha[k].data, 1.0)
             np.testing.assert_array_equal(cond.phi[k].data, 0.0)
@@ -361,8 +367,7 @@ class TestConditioner:
         bias = np.zeros_like(p["implicit.head.b"].data)
         bias[0] = 20.0
         p["implicit.head.b"].assign_(bias)
-        kappa = nm.tensor(np.zeros((1, 8 * model.cfg.frequencies)))
-        cond = conditioner(kappa, model)
+        cond = conditioner(*_neighbourhood(np.random.default_rng(0), model, 1))
         assert cond.logdet[0].data[0] == ALPHA_CLAMP
         assert cond.alpha[0].data[0, 0] == pytest.approx(np.exp(8.0))
 
@@ -372,11 +377,11 @@ class TestConditioner:
         # non-zero head so gradients reach the trunk
         rng = np.random.default_rng(56)
         p["implicit.head.w"].assign_(rng.normal(size=p["implicit.head.w"].shape) * 0.05)
-        kappa_data = rng.normal(size=(3, 8 * model.cfg.frequencies))
+        args = _neighbourhood(rng, model, 3)
         readouts = [rng.normal(size=(3, model.cfg.patch_dim)) for _ in range(model.cfg.flow_layers)]
 
         def compute():
-            cond = conditioner(nm.tensor(kappa_data), model)
+            cond = conditioner(*args)
             total = nm.tensor(0.0)
             for k in range(model.cfg.flow_layers):
                 total = nm.add(total, nm.tsum(nm.mul(cond.alpha[k], nm.tensor(readouts[k]))))
@@ -542,10 +547,10 @@ class TestConditionerHead:
 
 
 class TestBandedTrunk:
-    """Without a tape `condition_rows` gathers the features and runs the
+    """Without a tape `conditioner` gathers the features and runs the
     trunk in row bands, and reads each layer's alpha and log-det off the
-    head output when asked; under a tape it is the taped `conditioner` over
-    one whole gather. Both give the same bits, kink margin and pass counts,
+    head output when asked; under a tape it runs the trunk over one whole
+    gather. Both give the same bits, kink margin and pass counts,
     for whole, partial and single bands."""
 
     @staticmethod
@@ -580,11 +585,11 @@ class TestBandedTrunk:
             for weighting in (implicit.WEIGHTING_FULL, implicit.WEIGHTING_NONE):
                 model.cfg.ensemble_weighting = weighting
                 for ensemble, (r, dl) in (("fourier", (rows, delta)), ("local", local)):
-                    args = (model, amap, fmap, phases, r, dl, weights)
+                    args = (r, dl, weights, amap, fmap, phases, model)
                     with nm.probe(margins=True) as banded_probe:
-                        banded = implicit.condition_rows(*args)
+                        banded = implicit.conditioner(*args)
                     with nm.probe(margins=True) as taped_probe, nm.GradTape() as tape:
-                        taped = implicit.condition_rows(*args)
+                        taped = implicit.conditioner(*args)
                     assert len(tape) == 4  # three affine records and the head op
                     where = f"{name} Q={q} {weighting} {ensemble}"
                     for part in ("alpha", "phi", "logdet"):
@@ -597,8 +602,7 @@ class TestBandedTrunk:
                     assert banded_probe.passes == taped_probe.passes == {"conditioner": q}
 
     def test_no_whole_features_without_a_tape(self, monkeypatch):
-        """The untaped gather never sees more than TRUNK_BAND_ROWS rows, and
-        the taped conditioner is not called."""
+        """The untaped gather never sees more than TRUNK_BAND_ROWS rows."""
         model = self._model("micro")
         rng = np.random.default_rng(77)
         amap, fmap = (nm.tensor(rng.standard_normal((20, 8))) for _ in range(2))
@@ -611,13 +615,9 @@ class TestBandedTrunk:
             gathered.append(args[3].shape[0])
             return original(*args)
 
-        def must_not_run(*args):
-            raise AssertionError("the taped conditioner ran without a tape")
-
         monkeypatch.setattr(implicit, "ensemble_features", recording)
-        monkeypatch.setattr(implicit, "conditioner", must_not_run)
-        cond = implicit.condition_rows(model, amap, fmap, phase_vector(np.ones(q), model),
-                                       rows, delta, weights)
+        cond = implicit.conditioner(rows, delta, weights, amap, fmap,
+                                    phase_vector(np.ones(q), model), model)
         b = implicit.TRUNK_BAND_ROWS
         assert gathered == [b, b, b + 1]  # a last band of one row joins the one before
         assert cond.phi[0].shape == (q, model.cfg.patch_dim)

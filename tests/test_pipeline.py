@@ -349,7 +349,7 @@ class TestSuperResolve:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("condition", "condition_rows", "latents"):
+        for name in ("condition", "conditioner", "latents"):
             label = "latents" if name == "latents" else "condition"
             monkeypatch.setattr(pipeline, name, recording(label, getattr(pipeline, name)))
         monkeypatch.setattr(pipeline, "CHUNK_QUERIES", 50)

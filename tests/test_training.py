@@ -32,7 +32,8 @@ from linf.training import (
     train,
 )
 
-from .helpers import micro_config, with_header
+from .helpers import micro_config, micro_model, with_header
+from .oracles import adam_step_out_of_place
 
 
 SRC = Path(linf.__file__).resolve().parents[1]
@@ -481,6 +482,64 @@ class TestTrainLoop:
         assert lrs[:2] == [1e-3, 1e-3]
         assert lrs[2:5] == [5e-4, 5e-4, 5e-4]
         assert lrs[5:] == [2.5e-4, 2.5e-4, 2.5e-4]
+
+
+class TestAdam:
+    def test_step_bit_equal_to_out_of_place_update(self):
+        """Several steps at several learning rates, one parameter without a
+        gradient in every other step: the in-place update gives the bits of
+        the out-of-place one."""
+        model = micro_model(seed=21)
+        params = model.parameters()
+        adam = training.Adam(params, TrainConfig())
+        want = {k: p.data.copy() for k, p in params.items()}
+        m = {k: a.copy() for k, a in adam.m.items()}
+        v = {k: a.copy() for k, a in adam.v.items()}
+        rng = np.random.default_rng(22)
+        for t, lr in enumerate((1e-4, 3e-3, 1e-4, 2.5e-5, 0.5), 1):
+            for k, p in params.items():
+                p.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)
+            if t % 2:
+                params["flow.0.w"].grad = None
+            grads = {k: p.grad for k, p in params.items()}
+            adam.step(lr)
+            want, m, v = adam_step_out_of_place(want, grads, m, v, t, lr, adam.beta1,
+                                                adam.beta2, adam.eps)
+            for k, p in params.items():
+                for got, ref in ((p.data, want[k]), (adam.m[k], m[k]), (adam.v[k], v[k])):
+                    assert got.tobytes() == ref.tobytes(), f"step {t} {k}"
+
+    def test_train_updates_in_place_and_frees_gradients(self, monkeypatch):
+        """Every parameter array and every moment array is the one the run
+        started with, and no parameter holds a gradient once Adam has read
+        it: neither when the next batch is drawn nor after the run."""
+        model = micro_model(seed=23)
+        arrays = {k: p.data for k, p in model.parameters().items()}
+        adams = []
+
+        class RecordingAdam(training.Adam):
+            def __init__(self, *args):
+                super().__init__(*args)
+                adams.append((self, dict(self.m), dict(self.v)))
+
+        grads_at_batch = []
+        original = training.make_batch
+
+        def recording_make_batch(*args, **kwargs):
+            grads_at_batch.append([k for k, p in model.parameters().items() if p.grad is not None])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "Adam", RecordingAdam)
+        monkeypatch.setattr(training, "make_batch", recording_make_batch)
+        res = train(toy_corpus(4, 32, seed=24), tiny_train_cfg(steps=3), model=model)
+        assert len(res.history) == 3 and res.model is model
+        (adam, m, v), = adams
+        assert adam.t == 3
+        for k, p in model.parameters().items():
+            assert p.data is arrays[k], k
+            assert adam.m[k] is m[k] and adam.v[k] is v[k], k
+            assert p.grad is None, k
+        assert grads_at_batch == [[]] * 3
 
 
 class TestConfigRanges:
